@@ -68,6 +68,10 @@ EXPERIMENT_PRESETS = {
 
 _FMT = "%.17g"
 
+# flag defaults of every verb but simulate, whose config file must win over
+# them; _load_config applies the nu and alpha entries after merging the file
+CLI_DEFAULTS = dict(nu=1.0, alpha=12.0, mu=6.0, modes=1, length=1.0, nx=200)
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -224,7 +228,7 @@ def _config_dict(config: SimulationConfig) -> dict:
     d = {}
     for name in (
         "nu", "alpha", "mu", "n_modes", "length", "nx", "nt", "tmax",
-        "model", "dynamics", "control", "newton_tol", "newton_max_iter", "solver",
+        "model", "dynamics", "control", "newton_tol", "newton_max_iter",
     ):
         d[name] = getattr(config, name)
     u0 = config.u0
@@ -246,30 +250,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, *names):
-        if "nu" in names:
-            p.add_argument("--nu", type=float, default=None, help="diffusion coefficient")
-        if "alpha" in names:
-            p.add_argument("--alpha", type=float, default=None, help="reaction coefficient")
-        if "mu" in names:
-            p.add_argument("--mu", type=float, default=None, help="target damping strength")
-        if "modes" in names:
-            p.add_argument("--modes", type=int, default=None, help="number of controlled modes")
-        if "length" in names:
-            p.add_argument("--length", type=float, default=None, help="domain length")
-        if "nx" in names:
-            p.add_argument("--nx", type=int, default=None, help="number of grid nodes")
-        if "out" in names:
-            p.add_argument("--out", default=None, metavar="DIR", help="output directory")
+    flags = {
+        "nu": (float, "diffusion coefficient"),
+        "alpha": (float, "reaction coefficient"),
+        "mu": (float, "target damping strength"),
+        "modes": (int, "number of controlled modes"),
+        "length": (float, "domain length"),
+        "nx": (int, "number of grid nodes"),
+    }
+
+    def add_common(p, *names, defaults=CLI_DEFAULTS):
+        for name in names:
+            kind, text = flags[name]
+            p.add_argument(f"--{name}", type=kind, default=defaults.get(name), help=text)
+        p.add_argument("--out", default=None, metavar="DIR", help="output directory")
 
     p = sub.add_parser("design", help="closed-form controller design")
-    add_common(p, "nu", "alpha", "length", "out")
+    add_common(p, "nu", "alpha", "length")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--rate", type=float, help="target decay rate for the rapid design")
     grp.add_argument("--minimal", action="store_true", help="minimal-mode design")
 
     p = sub.add_parser("simulate", help="run one simulation")
-    add_common(p, "nu", "alpha", "mu", "modes", "length", "nx", "out")
+    add_common(p, "nu", "alpha", "mu", "modes", "length", "nx", defaults={})
     p.add_argument("--nt", type=int, default=None, help="number of time levels")
     p.add_argument("--tmax", type=float, default=None, help="time horizon")
     p.add_argument("--model", choices=["linear", "nonlinear"], default=None)
@@ -281,29 +284,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a canned reproduction preset")
     p.add_argument("preset", choices=sorted(EXPERIMENT_PRESETS))
-    add_common(p, "nx", "out")
-    p.add_argument("--nt", type=int, default=None)
+    add_common(p, "nx", defaults={"nx": 1000})
+    p.add_argument("--nt", type=int, default=1000)
     p.add_argument("--full-state", action="store_true")
 
     p = sub.add_parser("scan-admissibility", help="sweep mu and report scalars")
-    add_common(p, "nu", "modes", "length", "nx", "out")
+    add_common(p, "nu", "modes", "length", "nx")
     p.add_argument("--mu-min", type=float, required=True)
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)
 
     p = sub.add_parser("kernel-dump", help="tabulate the feedback kernel")
-    add_common(p, "nu", "mu", "length", "nx", "out")
+    add_common(p, "nu", "mu", "length", "nx")
     return parser
 
 
 def _cmd_design(args) -> int:
-    nu = args.nu if args.nu is not None else 1.0
-    alpha = args.alpha if args.alpha is not None else 12.0
-    length = args.length if args.length is not None else 1.0
     if args.minimal:
-        report = design_minimal(nu, alpha, length)
+        report = design_minimal(args.nu, args.alpha, args.length)
     else:
-        report = design_rapid(nu, alpha, length, args.rate)
+        report = design_rapid(args.nu, args.alpha, args.length, args.rate)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
     if report.scheme != "stable" and report.gamma <= 0:
@@ -334,8 +334,8 @@ def _load_config(args) -> SimulationConfig:
     if args.dynamics is not None:
         overrides["dynamics"] = "paper_faithful" if args.dynamics == "paper" else args.dynamics
     fields.update({k: v for k, v in overrides.items() if v is not None})
-    fields.setdefault("nu", 1.0)
-    fields.setdefault("alpha", 12.0)
+    fields.setdefault("nu", CLI_DEFAULTS["nu"])
+    fields.setdefault("alpha", CLI_DEFAULTS["alpha"])
     if "u0" in fields and isinstance(fields["u0"], list):
         fields["u0"] = np.asarray(fields["u0"], dtype=float)
     try:
@@ -361,10 +361,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    nx = args.nx if args.nx is not None else 1000
-    nt = args.nt if args.nt is not None else 1000
     trajectory, report, fit = run_experiment(
-        args.preset, nx=nx, nt=nt, out_dir=args.out, full_state=args.full_state
+        args.preset, nx=args.nx, nt=args.nt, out_dir=args.out, full_state=args.full_state
     )
     print(f"preset: {args.preset}")
     print(f"gamma: {report.gamma:.6f}  rho: {report.rho:.6f}")
@@ -377,14 +375,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    nu = args.nu if args.nu is not None else 1.0
-    length = args.length if args.length is not None else 1.0
-    modes = args.modes if args.modes is not None else 1
-    nx = args.nx if args.nx is not None else 200
     rows = scan_admissibility(
-        nu, length, modes, (args.mu_min, args.mu_max), args.steps, nx=nx
+        args.nu, args.length, args.modes, (args.mu_min, args.mu_max), args.steps, nx=args.nx
     )
-    header = "mu," + ",".join(f"a_{j}" for j in range(1, modes + 1)) + ",admissible"
+    header = "mu," + ",".join(f"a_{j}" for j in range(1, args.modes + 1)) + ",admissible"
     lines = [header]
     for row in rows:
         vals = ",".join(_FMT % s for s in row.scalars)
@@ -401,12 +395,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
-    nu = args.nu if args.nu is not None else 1.0
-    mu = args.mu if args.mu is not None else 6.0
-    length = args.length if args.length is not None else 1.0
-    nx = args.nx if args.nx is not None else 200
-    grid = make_grid(length, nx)
-    kern = kernel_table(grid, mu, nu)
+    grid = make_grid(args.length, args.nx)
+    kern = kernel_table(grid, args.mu, args.nu)
     print(f"series order: {kern.order}  achieved increment: {kern.achieved_delta:.3e}")
     if args.out:
         out = Path(args.out)

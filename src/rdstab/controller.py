@@ -241,16 +241,13 @@ def bernoulli_envelope(a: float, b: float, d: float, y0: float, t):
 
 
 def feedback_control(u: np.ndarray, kernel: Kernel, tset: TransformSet) -> float:
-    """Boundary feedback g(u): quadrature of k(L, y) against P_N (I - Phi_N) u."""
-    if kernel.grid.nx != tset.grid.nx:
-        raise DimensionError(
-            f"kernel grid ({kernel.grid.nx} nodes) does not match "
-            f"transform grid ({tset.grid.nx} nodes)"
-        )
+    """Boundary feedback g(u): quadrature of k(L, y) against P_N (I - Phi_N) u.
+
+    Raises DimensionError (through ``feedback_gain``) when the kernel and
+    transform grids differ.
+    """
     u = tset.grid.check_vector(u)
-    v = tset.P.apply(u - tset.phi @ u)
-    wq = trapezoid_weights(tset.grid)
-    return float(np.dot(wq * kernel.boundary_row(), v))
+    return float(feedback_gain(kernel, tset) @ u)
 
 
 def feedback_gain(kernel: Kernel, tset: TransformSet) -> np.ndarray:

@@ -16,10 +16,16 @@ last rows replaced by the Dirichlet constraints.  The nonlinear model adds
 -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the balance and resolves each step by a
 Newton iteration whose boundary value is re-imposed from the previous
 iterate; convergence is max|du| <= newton_tol.
+
+Every step, linear or Newton, uses one solver: I + dt/2 A is a tridiagonal
+core plus the rank-N term mu*P_N, so a banded solve followed by an N x N
+Woodbury correction costs O(nx*N).  ``assemble_A``, ``step_linear`` and
+``step_nonlinear`` are dense reference implementations for testing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -52,7 +58,6 @@ __all__ = [
 DYNAMICS_MODES = ("paper_faithful", "plant", "target")
 MODELS = ("linear", "nonlinear")
 CONTROL_MODES = ("feedback", "off")
-SOLVERS = ("auto", "dense", "woodbury")
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class SimulationConfig:
     u0: Union[str, dict, np.ndarray, Callable] = "exp1"
     newton_tol: float = DEFAULT_NEWTON_TOL
     newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER
-    solver: str = "auto"
     forcing: Optional[Callable] = None
 
     @property
@@ -89,6 +93,10 @@ class SimulationConfig:
         return self.tmax / (self.nt - 1)
 
     def validate(self) -> None:
+        for name in ("nu", "alpha", "mu", "length", "tmax", "newton_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.nu <= 0:
             raise InvalidParameterError(f"diffusion coefficient must be positive, got {self.nu}")
         if self.length <= 0:
@@ -105,8 +113,6 @@ class SimulationConfig:
             raise InvalidParameterError(f"unknown dynamics mode {self.dynamics!r}")
         if self.control not in CONTROL_MODES:
             raise InvalidParameterError(f"unknown control mode {self.control!r}")
-        if self.solver not in SOLVERS:
-            raise InvalidParameterError(f"unknown solver {self.solver!r}")
         if self.control == "feedback":
             if self.dynamics == "target":
                 raise InvalidParameterError(
@@ -151,11 +157,12 @@ def initial_state(config: SimulationConfig, grid: Grid) -> np.ndarray:
     spec = config.u0
     if isinstance(spec, str):
         if spec == "exp1":
-            return 10.0 * x * (x - 0.5) * (x - 1.0) ** 2
-        if spec == "exp2":
-            return np.sin(2.0 * np.pi * x) - 0.5 * np.sin(3.0 * np.pi * x)
-        raise InvalidParameterError(f"unknown initial-condition preset {spec!r}")
-    if isinstance(spec, dict):
+            u = 10.0 * x * (x - 0.5) * (x - 1.0) ** 2
+        elif spec == "exp2":
+            u = np.sin(2.0 * np.pi * x) - 0.5 * np.sin(3.0 * np.pi * x)
+        else:
+            raise InvalidParameterError(f"unknown initial-condition preset {spec!r}")
+    elif isinstance(spec, dict):
         unknown = set(spec) - {"sine_coeffs", "poly_coeffs"}
         if unknown:
             raise InvalidParameterError(f"unknown initial-condition keys {sorted(unknown)}")
@@ -166,11 +173,13 @@ def initial_state(config: SimulationConfig, grid: Grid) -> np.ndarray:
         poly = list(spec.get("poly_coeffs", ()))
         if poly:
             u += np.polynomial.polynomial.polyval(x, poly)
-        return u
-    if callable(spec):
-        u = np.asarray(spec(x), dtype=float)
-        return grid.check_vector(u)
-    return grid.check_vector(np.asarray(spec, dtype=float))
+    elif callable(spec):
+        u = grid.check_vector(spec(x))
+    else:
+        u = grid.check_vector(spec)
+    if not np.all(np.isfinite(u)):
+        raise InvalidParameterError("initial state has non-finite samples")
+    return u
 
 
 def assemble_A(
@@ -285,30 +294,24 @@ def _crank_pair(core: Tridiagonal, dt: float):
 
 
 class _Stepper:
-    """Precomputed operators for a run; applies C_plus / C_minus cheaply.
+    """Crank-Nicolson operators of one run, applied and solved in O(nx*N).
 
-    The modal damping term is kept in factored low-rank form so the
-    nonlinear Jacobian solve can use a banded core plus a Woodbury
-    correction instead of a dense factorization per iteration.
+    C_plus = I + dt/2 A is a tridiagonal core with identity constraint rows
+    plus, when mu*P_N is present, the rank-N term lr_coef * U_w W^T.  Every
+    step, linear or Newton, goes through ``solve``: one banded solve on
+    [rhs, U_w] and an N x N capacitance correction (Woodbury identity).
     """
 
     def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix]):
         core = laplacian_matrix(grid)
+        # _crank_pair resets the constraint rows, so the alpha shift and nu
+        # scaling may touch them here
         core = Tridiagonal(
             sub=-config.nu * core.sub,
             diag=-config.nu * core.diag - config.alpha,
             sup=-config.nu * core.sup,
         )
-        diag = core.diag.copy()
-        diag[0] = diag[-1] = 1.0
-        sub = core.sub.copy()
-        sub[-1] = 0.0
-        sup = core.sup.copy()
-        sup[0] = 0.0
-        # the alpha shift and nu scaling must not touch the constraint rows
-        core = Tridiagonal(sub=sub, diag=diag, sup=sup)
         self.tri_plus, self.tri_minus = _crank_pair(core, config.dt)
-        self.dt = config.dt
         with_proj = config.dynamics in ("paper_faithful", "target")
         if with_proj and config.mu != 0.0:
             W = P.basis.W
@@ -322,14 +325,6 @@ class _Stepper:
             self.lr_coef = 0.0
             self.W = None
             self.U_w = None
-        use_dense = config.solver == "dense"
-        self.dense = use_dense
-        if use_dense:
-            A = assemble_A(
-                config.nu, config.alpha, config.mu, grid, P if with_proj else None,
-                config.dynamics,
-            )
-            self.C_plus = _dirichlet_rows(np.eye(grid.nx) + 0.5 * config.dt * A)
 
     def cplus_mv(self, v: np.ndarray) -> np.ndarray:
         out = self.tri_plus.matvec(v)
@@ -343,36 +338,18 @@ class _Stepper:
             out -= self.lr_coef * (self.U_w @ (self.W.T @ v))
         return out
 
-    def solve_linear(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve C_plus x = rhs; used once per linear step (LU cached)."""
-        if not hasattr(self, "_lu"):
-            C = self.tri_plus.to_dense()
-            if self.lr_coef:
-                C = C + self.lr_coef * (self.U_w @ self.W.T)
-            self._lu = scipy.linalg.lu_factor(C)
-        return scipy.linalg.lu_solve(self._lu, rhs)
-
-    def solve_jacobian(self, up: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Solve (C_plus + (3 dt/2) diag(up^2)) du = F with constraint rows."""
-        if self.dense:
-            n = self.C_plus.shape[0]
-            interior = np.arange(1, n - 1)
-            J = self.C_plus.copy()
-            J[interior, interior] += 1.5 * self.dt * up[interior] ** 2
-            return np.linalg.solve(J, F)
-        jd = self.tri_plus.diag.copy()
-        jd[1:-1] += 1.5 * self.dt * up[1:-1] ** 2
-        tri = Tridiagonal(sub=self.tri_plus.sub, diag=jd, sup=self.tri_plus.sup)
-        ab = tri.banded()
+    def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve (C_plus + diag(shift)) x = rhs; the constraint rows ignore shift."""
+        ab = self.tri_plus.banded()
+        if shift is not None:
+            ab[1, 1:-1] += shift[1:-1]
         if not self.lr_coef:
-            return scipy.linalg.solve_banded((1, 1), ab, F)
-        block = np.column_stack([F, self.U_w])
-        Y = scipy.linalg.solve_banded((1, 1), ab, block)
-        yF = Y[:, 0]
+            return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        Y = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, self.U_w]))
+        y = Y[:, 0]
         YU = Y[:, 1:]
-        m = self.W.shape[1]
-        S = np.eye(m) / self.lr_coef + self.W.T @ YU
-        return yF - YU @ np.linalg.solve(S, self.W.T @ yF)
+        S = np.eye(self.W.shape[1]) / self.lr_coef + self.W.T @ YU
+        return y - YU @ np.linalg.solve(S, self.W.T @ y)
 
 
 def _build_feedback(config: SimulationConfig, grid: Grid):
@@ -429,7 +406,7 @@ def run_simulation(config: SimulationConfig) -> Trajectory:
                 rhs += 0.5 * dt * (config.forcing(x, times[n]) + config.forcing(x, times[n + 1]))
             rhs[0] = 0.0
             rhs[-1] = g_val
-            u = stepper.solve_linear(rhs)
+            u = stepper.solve(rhs)
             u[0] = 0.0
             u[-1] = g_val
         else:
@@ -459,7 +436,7 @@ def _newton_march_step(stepper: _Stepper, u: np.ndarray, gain, config: Simulatio
         F = B - stepper.cplus_mv(up) - 0.5 * dt * up**3
         F[0] = -up[0]
         F[-1] = g_val - up[-1]
-        du = stepper.solve_jacobian(up, F)
+        du = stepper.solve(F, 1.5 * dt * up**2)
         up = up + du
         delta = float(np.max(np.abs(du)))
         history.append(delta)

@@ -169,7 +169,7 @@ class TestExport:
 
 def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "rdstab.cli", *argv],
+        [sys.executable, "-m", "rdstab", *argv],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -265,11 +265,16 @@ class TestExitCodes:
         assert main(["simulate", "--nx", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_parameter(self, capsys):
+        assert main(["simulate", "--nu", "nan", "--nx", "40", "--nt", "10"]) == 2
+        assert "nu must be finite" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"viscosity": 1.0}))
-        assert main(["simulate", "--config", str(cfg)]) == 2
-        capsys.readouterr()
+        for raw, key in (({"viscosity": 1.0}, "viscosity"), ({"solver": "dense"}, "solver")):
+            cfg.write_text(json.dumps(raw))
+            assert main(["simulate", "--config", str(cfg)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_config_not_object(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

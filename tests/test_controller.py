@@ -231,16 +231,19 @@ class TestFeedback:
         gain = r.feedback_gain(exp2_kernel, exp2_tset)
         assert gain.shape == (exp2_tset.grid.nx,)
         rng = np.random.default_rng(11)
+        # the quadrature of k(L, y) against P_N (I - Phi_N) u, applied directly
+        wq = r.trapezoid_weights(exp2_tset.grid)
+        lead = wq * exp2_kernel.boundary_row()
         for _ in range(4):
             u = rng.standard_normal(exp2_tset.grid.nx)
-            assert float(gain @ u) == pytest.approx(
-                r.feedback_control(u, exp2_kernel, exp2_tset), abs=1e-10
-            )
+            direct = float(np.dot(lead, exp2_tset.P.apply(u - exp2_tset.phi @ u)))
+            assert float(gain @ u) == pytest.approx(direct, abs=1e-10)
+            assert r.feedback_control(u, exp2_kernel, exp2_tset) == float(gain @ u)
 
     def test_grid_mismatch(self, exp1_tset):
         other = r.kernel_table(r.make_grid(1.0, 100), 0.0, 1.0)
         with pytest.raises(DimensionError):
-            r.feedback_control(np.zeros(100), other, exp1_tset)
+            r.feedback_control(np.zeros(exp1_tset.grid.nx), other, exp1_tset)
         with pytest.raises(DimensionError):
             r.feedback_gain(other, exp1_tset)
 

@@ -33,12 +33,17 @@ class TestConfig:
             dict(model="cubic"),
             dict(dynamics="open_loop"),
             dict(control="bang_bang"),
-            dict(solver="sparse"),
             dict(newton_tol=0.0),
             dict(newton_max_iter=0),
             dict(dynamics="target", control="feedback"),
             dict(n_modes=0, control="feedback"),
             dict(model="nonlinear", forcing=lambda x, t: x),
+            dict(nu=math.nan),
+            dict(alpha=math.nan),
+            dict(mu=math.nan),
+            dict(length=math.inf),
+            dict(tmax=math.inf),
+            dict(newton_tol=math.nan),
         ],
     )
     def test_rejects(self, bad):
@@ -81,6 +86,10 @@ class TestInitialState:
         assert np.array_equal(r.initial_state(cfg(u0=samples), g), samples)
         with pytest.raises(DimensionError):
             r.initial_state(cfg(u0=np.zeros(30)), g)
+        with pytest.raises(InvalidParameterError):
+            r.initial_state(cfg(u0=np.full(31, np.nan)), g)
+        with pytest.raises(InvalidParameterError):
+            r.initial_state(cfg(u0=lambda x: np.full_like(x, np.inf)), g)
 
 
 def discrete_eigenvalue(j, grid):
@@ -180,12 +189,17 @@ class TestStepLinear:
         traj = r.run_simulation(cfg(nu=nu, alpha=alpha, nx=nx, nt=nt, tmax=tmax))
         assert np.max(np.abs(np.asarray(states) - traj.states)) < 1e-11
 
-    def test_run_matches_public_step_with_feedback(self, exp1_kernel, exp1_tset, grid200):
+    @pytest.mark.parametrize("dynamics", ["paper_faithful", "plant"])
+    def test_run_matches_public_step_with_feedback(self, dynamics, exp1_kernel, exp1_tset,
+                                                   grid200):
+        # the gain is designed at mu = 6 either way; the plant operator has no mu*P_N
         c = cfg(nu=1.0, alpha=12.0, mu=6.0, n_modes=1, nx=200, nt=30, tmax=0.2,
-                dynamics="paper_faithful", control="feedback", u0="exp1")
+                dynamics=dynamics, control="feedback", u0="exp1")
         traj = r.run_simulation(c)
-        P = exp1_tset.P
-        A = r.assemble_A(1.0, 12.0, 6.0, grid200, P, "paper_faithful")
+        if dynamics == "plant":
+            A = r.assemble_A(1.0, 12.0, 0.0, grid200, None, "plant")
+        else:
+            A = r.assemble_A(1.0, 12.0, 6.0, grid200, exp1_tset.P, "paper_faithful")
         gain = r.feedback_gain(exp1_kernel, exp1_tset)
         u = r.initial_state(c, grid200)
         for n in range(c.nt - 1):
@@ -307,20 +321,22 @@ class TestRunSimulation:
             drops = np.diff(traj.l2_norms)
             assert np.all(drops <= 1e-10 * traj.l2_norms[0])
 
-    def test_solver_paths_agree_linear(self):
-        base = dict(nu=1.0, alpha=12.0, mu=6.0, dynamics="paper_faithful",
-                    control="feedback", nx=80, nt=60, tmax=0.5)
-        t_auto = r.run_simulation(cfg(**base, solver="auto"))
-        t_dense = r.run_simulation(cfg(**base, solver="dense"))
-        assert np.max(np.abs(t_auto.states - t_dense.states)) < 1e-9
-
     def test_solver_paths_agree_nonlinear(self):
-        base = dict(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
-                    dynamics="paper_faithful", control="feedback",
+        # the banded Woodbury march against the dense Newton reference, level by level
+        g = r.make_grid(1.0, 100)
+        kern = r.kernel_table(g, 15.0, 1.0)
+        tset = r.build_transform(kern, 2)
+        for dynamics in ("paper_faithful", "plant"):
+            c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
+                    dynamics=dynamics, control="feedback",
                     nx=100, nt=150, tmax=1.0, u0="exp2")
-        t_wood = r.run_simulation(cfg(**base, solver="woodbury"))
-        t_dense = r.run_simulation(cfg(**base, solver="dense"))
-        assert np.max(np.abs(t_wood.states - t_dense.states)) < 1e-9
+            traj = r.run_simulation(c)
+            mu_A, P = (15.0, tset.P) if dynamics == "paper_faithful" else (0.0, None)
+            A = r.assemble_A(1.0, 15.0, mu_A, g, P, dynamics)
+            u = r.initial_state(c, g)
+            for n in range(c.nt - 1):
+                u, _ = r.step_nonlinear(u, A, c.dt, tset, kern, "feedback")
+                assert np.max(np.abs(u - traj.states[n + 1])) < 1e-9
 
     def test_manufactured_steady_state(self):
         # forcing chosen so sin(pi x) is an equilibrium of the linear model
