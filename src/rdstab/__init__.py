@@ -13,163 +13,19 @@ steps the linear or cubic model with Crank-Nicolson.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    RdstabError,
-    InvalidParameterError,
-    DimensionError,
-    DomainError,
-    ResolutionError,
-    InfeasibleRateError,
-    DegenerateSpectrumError,
-    InadmissiblePairError,
-    SolverError,
-    ConvergenceError,
-    NewtonDivergenceError,
-    FitError,
-)
-from .grid import (
-    Grid,
-    Tridiagonal,
-    make_grid,
-    trapezoid_weights,
-    trapezoid,
-    inner_product,
-    l2_norm,
-    h1_norm,
-    laplacian_matrix,
-)
-from .kernel import (
-    Kernel,
-    kernel_series,
-    truncate_order,
-    kernel_table,
-    kernel_pde_residual,
-)
-from .spectral import (
-    ModalBasis,
-    ProjectionMatrix,
-    eigenvalue,
-    modal_basis,
-    projection_matrix,
-)
-from .transform import (
-    TransformSet,
-    OperatorNorms,
-    ScanRow,
-    upsilon_matrix,
-    phi_matrix,
-    phi_apply_recursive,
-    build_transform,
-    forward_transform,
-    inverse_transform,
-    scan_admissibility,
-    sign_change_brackets,
-    operator_norms,
-)
-from .controller import (
-    DesignReport,
-    gamma_rate,
-    rho_rate,
-    min_modes_rapid,
-    instability_level,
-    minimal_mode_setup,
-    smallness_threshold,
-    c1_constant,
-    bernoulli_envelope,
-    feedback_control,
-    feedback_gain,
-    design_fixed,
-    design_rapid,
-    design_minimal,
-)
-from .simulator import (
-    SimulationConfig,
-    Trajectory,
-    initial_state,
-    assemble_A,
-    step_linear,
-    step_nonlinear,
-    run_simulation,
-    run_target_consistency,
-)
-from .cli import (
-    DecayFit,
-    fit_decay_rate,
-    run_experiment,
-    export,
-    main,
-)
+# each module's __all__ is its public API; the package re-exports all of them
+from . import cli, controller, errors, grid, kernel, simulator, spectral, transform
+from .errors import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .kernel import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .transform import *  # noqa: F401,F403
+from .controller import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "RdstabError",
-    "InvalidParameterError",
-    "DimensionError",
-    "DomainError",
-    "ResolutionError",
-    "InfeasibleRateError",
-    "DegenerateSpectrumError",
-    "InadmissiblePairError",
-    "SolverError",
-    "ConvergenceError",
-    "NewtonDivergenceError",
-    "FitError",
-    "Grid",
-    "Tridiagonal",
-    "make_grid",
-    "trapezoid_weights",
-    "trapezoid",
-    "inner_product",
-    "l2_norm",
-    "h1_norm",
-    "laplacian_matrix",
-    "Kernel",
-    "kernel_series",
-    "truncate_order",
-    "kernel_table",
-    "kernel_pde_residual",
-    "ModalBasis",
-    "ProjectionMatrix",
-    "eigenvalue",
-    "modal_basis",
-    "projection_matrix",
-    "TransformSet",
-    "OperatorNorms",
-    "ScanRow",
-    "upsilon_matrix",
-    "phi_matrix",
-    "phi_apply_recursive",
-    "build_transform",
-    "forward_transform",
-    "inverse_transform",
-    "scan_admissibility",
-    "sign_change_brackets",
-    "operator_norms",
-    "DesignReport",
-    "gamma_rate",
-    "rho_rate",
-    "min_modes_rapid",
-    "instability_level",
-    "minimal_mode_setup",
-    "smallness_threshold",
-    "c1_constant",
-    "bernoulli_envelope",
-    "feedback_control",
-    "feedback_gain",
-    "design_fixed",
-    "design_rapid",
-    "design_minimal",
-    "SimulationConfig",
-    "Trajectory",
-    "initial_state",
-    "assemble_A",
-    "step_linear",
-    "step_nonlinear",
-    "run_simulation",
-    "run_target_consistency",
-    "DecayFit",
-    "fit_decay_rate",
-    "run_experiment",
-    "export",
-    "main",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, grid, kernel, spectral, transform, controller, simulator, cli)
+    for name in module.__all__
 ]

@@ -56,12 +56,13 @@ RETRY_FACTORS = (1.0, 1.05, 0.95, 1.10, 0.90, 1.15)
 
 
 def _check_coeffs(nu: float, alpha: float, length: float) -> None:
+    for name, value in (("nu", nu), ("alpha", alpha), ("length", length)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
     if nu <= 0:
         raise InvalidParameterError(f"diffusion coefficient must be positive, got {nu}")
     if length <= 0:
         raise InvalidParameterError(f"domain length must be positive, got {length}")
-    if not np.isfinite(alpha):
-        raise InvalidParameterError(f"reaction coefficient must be finite, got {alpha}")
 
 
 def gamma_rate(nu: float, alpha: float, mu: float, n_modes: int, length: float = 1.0) -> float:
@@ -243,23 +244,28 @@ def bernoulli_envelope(a: float, b: float, d: float, y0: float, t):
 def feedback_control(u: np.ndarray, kernel: Kernel, tset: TransformSet) -> float:
     """Boundary feedback g(u): quadrature of k(L, y) against P_N (I - Phi_N) u.
 
-    Raises DimensionError (through ``feedback_gain``) when the kernel and
-    transform grids differ.
+    Builds the gain row in O(nx N) and applies it.  Raises DimensionError
+    (through ``feedback_gain``) when the kernel and transform grids differ.
     """
     u = tset.grid.check_vector(u)
     return float(feedback_gain(kernel, tset) @ u)
 
 
 def feedback_gain(kernel: Kernel, tset: TransformSet) -> np.ndarray:
-    """Row vector r with g(u) = r @ u, precomputed for time stepping."""
+    """Row vector r with g(u) = r @ u, precomputed for time stepping.
+
+    With c = (wq k(L, .)) W and Phi_N = X (dx W^T),
+    r = c (dx W^T)(I - X dx W^T) = dx (c - dx c (W^T X)) W^T, in O(nx N).
+    """
     if kernel.grid.nx != tset.grid.nx:
         raise DimensionError(
             f"kernel grid ({kernel.grid.nx} nodes) does not match "
             f"transform grid ({tset.grid.nx} nodes)"
         )
-    wq = trapezoid_weights(tset.grid)
-    lead = wq * kernel.boundary_row()
-    return (lead @ tset.P.matrix) @ (np.eye(tset.grid.nx) - tset.phi)
+    dx = tset.grid.dx
+    W = tset.basis.W
+    c = (trapezoid_weights(tset.grid) * kernel.boundary_row()) @ W
+    return dx * ((c - dx * (c @ (W.T @ tset.X))) @ W.T)
 
 
 @dataclass(frozen=True)
@@ -420,6 +426,8 @@ def design_rapid(
     pair is retried at perturbed mu (up to 5 attempts) before failing.
     """
     _check_coeffs(nu, alpha, length)
+    if not math.isfinite(rate_target):
+        raise InvalidParameterError(f"target rate must be finite, got {rate_target}")
     if rate_target <= 0:
         raise InvalidParameterError(f"target rate must be positive, got {rate_target}")
     lam1 = eigenvalue(1, length)

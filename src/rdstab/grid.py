@@ -66,6 +66,15 @@ class Grid:
             )
         return values
 
+    def check_stack(self, values: np.ndarray) -> np.ndarray:
+        """Validate a vector on this grid or a (k, nx) stack of them."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.nx:
+            raise DimensionError(
+                f"expected length-{self.nx} vectors, got shape {values.shape}"
+            )
+        return values
+
 
 def make_grid(length: float, nx: int) -> Grid:
     """Build the uniform grid on [0, length] with ``nx`` nodes."""
@@ -93,22 +102,28 @@ def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     return float(np.dot(trapezoid_weights(grid) * u, v))
 
 
-def l2_norm(values: np.ndarray, grid: Grid) -> float:
-    """Discrete L2 norm induced by :func:`inner_product`."""
-    values = grid.check_vector(values)
-    return float(np.sqrt(np.dot(trapezoid_weights(grid), values * values)))
+def l2_norm(values: np.ndarray, grid: Grid):
+    """Discrete L2 norm induced by :func:`inner_product`.
+
+    A float for one vector; an array of row norms for a (k, nx) stack.
+    """
+    values = grid.check_stack(values)
+    out = np.sqrt(np.einsum("...i,...i,i->...", values, values, trapezoid_weights(grid)))
+    return float(out) if values.ndim == 1 else out
 
 
-def h1_norm(values: np.ndarray, grid: Grid) -> float:
+def h1_norm(values: np.ndarray, grid: Grid):
     """Discrete H1 norm: L2 part plus forward-difference derivative part.
 
     The derivative part is dx * sum_i ((v_{i+1} - v_i)/dx)^2, the cheapest
-    consistent realization of the continuum seminorm.
+    consistent realization of the continuum seminorm.  A float for one
+    vector; an array of row norms for a (k, nx) stack.
     """
-    values = grid.check_vector(values)
-    diff = np.diff(values) / grid.dx
-    semi = grid.dx * np.dot(diff, diff)
-    return float(np.sqrt(l2_norm(values, grid) ** 2 + semi))
+    values = grid.check_stack(values)
+    diff = np.diff(values, axis=-1)
+    semi = np.einsum("...i,...i->...", diff, diff) / grid.dx
+    out = np.sqrt(l2_norm(values, grid) ** 2 + semi)
+    return float(out) if values.ndim == 1 else out
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ and has the explicit power series
     k(x, y) = -(mu * y) / (2 * nu)
               * sum_{m >= 0} (-mu / (4 nu))^m (x^2 - y^2)^m / (m! (m+1)!).
 
-Everything here evaluates partial sums of that series on the grid.  Terms
-are updated recursively; explicit factorials would overflow doubles near
-m = 85.
+``kernel_series`` sums the series at one point, term by term.
+``kernel_table`` evaluates the same partial sum on the grid's lower
+triangle by Horner's scheme in zeta = (x^2 - y^2) / L^2, which lies in
+[0, 1] there, with coefficients c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The
+c_m are built recursively, since explicit factorials overflow doubles near
+m = 85; because zeta <= 1, a coefficient can only underflow once its term
+is already negligible.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DEFAULT_KERNEL_TOL, KERNEL_MAX_ORDER
+from .constants import BLOCK_ENTRIES, DEFAULT_KERNEL_TOL, KERNEL_MAX_ORDER
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -40,6 +44,8 @@ __all__ = [
 
 
 def _check_coeffs(mu: float, nu: float) -> None:
+    if not np.isfinite(nu):
+        raise InvalidParameterError(f"nu must be finite, got {nu}")
     if nu <= 0:
         raise InvalidParameterError(f"diffusivity must be positive, got {nu}")
     if not np.isfinite(mu):
@@ -141,23 +147,35 @@ class Kernel:
 
 
 def kernel_table(grid: Grid, mu: float, nu: float, tol: float = DEFAULT_KERNEL_TOL) -> Kernel:
-    """Tabulate the kernel on the grid with the order picked by ``truncate_order``."""
+    """Tabulate the kernel on the grid with the order picked by ``truncate_order``.
+
+    Horner's scheme in zeta = (x^2 - y^2) / L^2 runs over the lower triangle
+    in row blocks of about BLOCK_ENTRIES entries, so each block stays in
+    cache through all its passes.  The achieved gap is the next series term
+    on the x = L row, where ``truncate_order`` locates its maximum.
+    """
     order = truncate_order(mu, nu, grid, tol)
-    x = grid.nodes[:, None]
-    y = grid.nodes[None, :]
-    z = (x - y) * (x + y)
-    q = -mu / (4.0 * nu)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for m in range(order):
-        term = term * q * z / ((m + 1) * (m + 2))
-        total += term
-    # magnitude of the next term = the achieved truncation gap
-    next_term = term * q * z / ((order + 1) * (order + 2))
+    L2 = grid.length**2
+    q = -mu * L2 / (4.0 * nu)
+    coeffs = [1.0]
+    for m in range(1, order + 2):
+        coeffs.append(coeffs[-1] * q / (m * (m + 1)))
+    y = grid.nodes
     prefactor = -(mu * y) / (2.0 * nu)
-    tri = np.tril(np.ones_like(z, dtype=bool))
-    achieved = float(np.max(np.abs(prefactor * next_term)[tri]))
-    values = np.where(tri, prefactor * total, 0.0)
+    values = np.zeros((grid.nx, grid.nx))
+    rows = max(1, BLOCK_ENTRIES // grid.nx)
+    for start in range(0, grid.nx, rows):
+        stop = min(start + rows, grid.nx)
+        x = y[start:stop, None]
+        zeta = (x - y[:stop]) * (x + y[:stop]) / L2
+        block = np.full_like(zeta, coeffs[order])
+        for c in reversed(coeffs[:order]):
+            block *= zeta
+            block += c
+        block *= prefactor[:stop]
+        values[start:stop, :stop] = np.tril(block, start)
+    zeta_top = (L2 - y * y) / L2
+    achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
     values.flags.writeable = False
     return Kernel(
         values=values,

@@ -42,7 +42,7 @@ from .errors import (
 from .grid import Grid, Tridiagonal, h1_norm, l2_norm, laplacian_matrix, make_grid
 from .kernel import Kernel, kernel_table
 from .spectral import ProjectionMatrix, modal_basis, projection_matrix
-from .transform import TransformSet, build_transform, inverse_transform
+from .transform import TransformSet, build_transform, forward_transform, inverse_transform
 
 __all__ = [
     "SimulationConfig",
@@ -360,14 +360,12 @@ def _build_feedback(config: SimulationConfig, grid: Grid):
 
 def _package(config, grid, times, states, controls, iters) -> Trajectory:
     states = np.asarray(states)
-    l2 = np.array([l2_norm(s, grid) for s in states])
-    h1 = np.array([h1_norm(s, grid) for s in states])
     return Trajectory(
         times=np.asarray(times),
         states=states,
         controls=np.asarray(controls),
-        l2_norms=l2,
-        h1_norms=h1,
+        l2_norms=l2_norm(states, grid),
+        h1_norms=h1_norm(states, grid),
         newton_iters=np.asarray(iters, dtype=int),
     )
 
@@ -467,10 +465,5 @@ def run_target_consistency(config: SimulationConfig):
     denom = l2_norm(u0, grid)
     if denom == 0.0:
         raise InvalidParameterError("zero initial state has no relative mismatch")
-    mismatch = np.array(
-        [
-            l2_norm(traj_u.states[n] - tset.T @ traj_w.states[n], grid) / denom
-            for n in range(traj_u.nt)
-        ]
-    )
+    mismatch = l2_norm(traj_u.states - forward_transform(tset, traj_w.states), grid) / denom
     return traj_u, traj_w, mismatch

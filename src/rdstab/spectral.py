@@ -3,12 +3,13 @@
 The eigenpairs of -d^2/dx^2 on (0, L) with zero boundary values are
 lambda_n = (n pi / L)^2 and e_n = sqrt(2/L) sin(n pi x / L).  The discrete
 projection onto the first N modes is P = dx * W @ W.T where W samples the
-modes on the grid.
+modes on the grid.  P has rank N and is applied in that factored form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,23 +83,28 @@ def modal_basis(grid: Grid, n_modes: int) -> ModalBasis:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """Discrete projection P = dx * W @ W.T onto the retained modes."""
+    """Discrete projection P = dx * W @ W.T onto the retained modes.
+
+    ``apply`` works on the factors in O(nx N); ``matrix`` is the dense
+    nx x nx array, formed on first access for dense reference operators.
+    """
 
     basis: ModalBasis
-    matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def matrix(self) -> np.ndarray:
         P = self.basis.grid.dx * (self.basis.W @ self.basis.W.T)
         # force exact symmetry; BLAS products are not bit-symmetric
         P = np.triu(P) + np.triu(P, 1).T
         P.flags.writeable = False
-        object.__setattr__(self, "matrix", P)
+        return P
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = self.basis.grid.check_vector(v)
-        return self.matrix @ v
+        W = self.basis.W
+        return self.basis.grid.dx * (W @ (W.T @ v))
 
 
 def projection_matrix(basis: ModalBasis) -> ProjectionMatrix:
-    """Assemble the dense projection matrix for a modal basis."""
+    """Projection onto the modes of a basis; the dense matrix is formed lazily."""
     return ProjectionMatrix(basis=basis)

@@ -14,21 +14,28 @@ with a_j = ((I - Phi_{j-1})[Upsilon e_j], e_j).  The pair (mu, N) is
 admissible when every a_j stays away from -1; otherwise the transform is
 not invertible and construction fails.
 
-Two independent realizations of the recursion are provided: a one-time
-matrix assembly (``phi_matrix``, used everywhere) and a per-vector
-level scheme (``phi_apply_recursive``) that walks the recursion bottom-up
-from precomputed operator chains; the two must agree to roundoff.
+P_N = dx W W^T has rank N, so the whole transform is kept as nx x N
+factors: T = I + UW (dx W^T) with UW = Upsilon W, and Phi_j = X_j (dx W_j^T)
+with the recursion run on X alone.  Building, applying and measuring the
+transform costs O(nx^2 N) at most, with no nx x nx temporary; the dense
+matrices exist only as lazily formed views for tests.
+
+Two independent realizations of the recursion are provided: the factored
+one above (``build_transform``, ``phi_matrix``) and a per-vector level
+scheme (``phi_apply_recursive``) that walks the recursion bottom-up from
+precomputed operator chains; the two must agree to roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .constants import ADMISSIBILITY_FLOOR, DEFAULT_KERNEL_TOL, INVERSE_TOL
+from .constants import ADMISSIBILITY_FLOOR, BLOCK_ENTRIES, DEFAULT_KERNEL_TOL, INVERSE_TOL
 from .errors import DimensionError, InadmissiblePairError, InvalidParameterError, SolverError
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
@@ -51,7 +58,7 @@ __all__ = [
 
 
 def upsilon_matrix(kernel: Kernel) -> np.ndarray:
-    """Trapezoidal discretization of the Volterra operator.
+    """Trapezoidal discretization of the Volterra operator (dense reference).
 
     Entry (i, j) is 0 above the diagonal, dx/2 * k(x_i, x_i) on it, and
     dx * k(x_i, x_j) below.  The j = 0 column carries k(x_i, 0) = 0, so the
@@ -63,31 +70,37 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
     return U
 
 
+def _upsilon_modes(kernel: Kernel, W: np.ndarray) -> np.ndarray:
+    """Upsilon W (nx x N) straight from the kernel table, with no nx x nx copy.
+
+    The table is zero above the diagonal, so K @ W is the lower-triangular
+    product; the diagonal term is then halved as in :func:`upsilon_matrix`.
+    """
+    K = kernel.values
+    dx = kernel.grid.dx
+    return dx * (K @ W) - (0.5 * dx * np.diag(K))[:, None] * W
+
+
 def _phi_recursion(
-    upsilon: np.ndarray,
+    UW: np.ndarray,
     basis: ModalBasis,
     floor: float,
     strict: bool,
 ):
-    """Shared core of the inverse recursion.
+    """Shared core of the inverse recursion, on the factor X of Phi_j = X (dx W_j^T).
 
-    Returns (phi, scalars, admissible).  In strict mode an inadmissible
-    scalar raises; otherwise the recursion stops there, the remaining
-    scalars are NaN and ``admissible`` is False.
+    ``UW`` is Upsilon W.  Returns (X, scalars, admissible).  In strict mode
+    an inadmissible scalar raises; otherwise the recursion stops there, the
+    remaining scalars are NaN and ``admissible`` is False.
     """
     g = basis.grid
-    nx = g.nx
     W = basis.W
     wq = trapezoid_weights(g)
-    if upsilon.shape != (nx, nx):
-        raise DimensionError(
-            f"upsilon shape {upsilon.shape} does not match grid ({nx} nodes)"
-        )
-    UE = upsilon @ W
-    phi = np.zeros((nx, nx))
+    X = np.zeros((g.nx, 0))
     scalars = np.full(basis.n_modes, np.nan)
     for j in range(1, basis.n_modes + 1):
-        B = UE[:, :j] - phi @ UE[:, :j]
+        # B = (I - Phi_{j-1}) Upsilon W_j
+        B = UW[:, :j] - X @ (g.dx * (W[:, : j - 1].T @ UW[:, :j]))
         b = B[:, j - 1]
         ej = W[:, j - 1]
         a = float(np.dot(wq * b, ej))
@@ -95,13 +108,10 @@ def _phi_recursion(
         if abs(1.0 + a) <= floor:
             if strict:
                 raise InadmissiblePairError(j, a, floor)
-            return phi, scalars, False
-        # Phi_j as a matrix: (I - Phi_{j-1}) Upsilon P_j minus the rank-one
-        # correction; columns of B against rows of W give the P_j factor.
-        G = g.dx * (B @ W[:, :j].T)
-        row = np.dot(wq * ej, G)
-        phi = G - np.outer(b, row) / (1.0 + a)
-    return phi, scalars, True
+            return X, scalars, False
+        # Phi_j = B P_j minus the rank-one correction b (e_j, B P_j .) / (1 + a_j)
+        X = B - np.outer(b, (wq * ej) @ B) / (1.0 + a)
+    return X, scalars, True
 
 
 def phi_matrix(
@@ -111,13 +121,20 @@ def phi_matrix(
 ):
     """Assemble Phi_N as a dense matrix together with the scalars a_1..a_N.
 
+    A dense wrapper over the factored recursion, for tests and dense input.
+
     Raises
     ------
     InadmissiblePairError
         If any |1 + a_j| <= floor.
     """
-    phi, scalars, _ = _phi_recursion(upsilon, basis, floor, strict=True)
-    return phi, scalars
+    g = basis.grid
+    if upsilon.shape != (g.nx, g.nx):
+        raise DimensionError(
+            f"upsilon shape {upsilon.shape} does not match grid ({g.nx} nodes)"
+        )
+    X, scalars, _ = _phi_recursion(upsilon @ basis.W, basis, floor, strict=True)
+    return g.dx * (X @ basis.W.T), scalars
 
 
 def phi_apply_recursive(
@@ -191,10 +208,13 @@ def phi_apply_recursive(
 
 @dataclass(frozen=True)
 class TransformSet:
-    """Discrete transform bundle: Upsilon, P, T = I + Upsilon P, and Phi.
+    """Discrete transform bundle, kept as its nx x N factors.
 
+    T = I + UW (dx W^T) with UW = Upsilon W, and Phi_N = X (dx W^T).
     ``admissibility`` holds the recursion scalars a_1..a_N;
-    ``inverse_residual`` is ||(I - Phi) T - I||_inf measured at build time.
+    ``inverse_residual`` is ||(I - Phi) T - I||_max measured at build time.
+    ``upsilon``, ``phi`` and ``T`` are dense nx x nx views, formed on first
+    access for tests and dense reference code; no production path uses them.
     """
 
     grid: Grid
@@ -202,15 +222,40 @@ class TransformSet:
     nu: float
     basis: ModalBasis
     P: ProjectionMatrix
-    upsilon: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
+    kernel: Kernel = field(repr=False)
+    UW: np.ndarray = field(repr=False)
+    X: np.ndarray = field(repr=False)
     admissibility: np.ndarray
     inverse_residual: float
 
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
+
+    @cached_property
+    def upsilon(self) -> np.ndarray:
+        return upsilon_matrix(self.kernel)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.grid.dx * (self.X @ self.basis.W.T)
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        return np.eye(self.grid.nx) + self.grid.dx * (self.UW @ self.basis.W.T)
+
+
+def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float:
+    """max |(I - Phi) T - I| = max |[UW - X - X (dx W^T UW)] (dx W^T)|.
+
+    The rank-N product is expanded in row blocks of about BLOCK_ENTRIES
+    entries, so no nx x nx array is formed.  NaN propagates.
+    """
+    dxWt = basis.grid.dx * basis.W.T
+    R = UW - X - X @ (dxWt @ UW)
+    rows = max(1, BLOCK_ENTRIES // basis.grid.nx)
+    peaks = [np.max(np.abs(R[i : i + rows] @ dxWt)) for i in range(0, R.shape[0], rows)]
+    return float(np.max(peaks))
 
 
 def build_transform(
@@ -219,22 +264,19 @@ def build_transform(
     floor: float = ADMISSIBILITY_FLOOR,
     inverse_tol: float = INVERSE_TOL,
 ) -> TransformSet:
-    """Build the full transform set from a tabulated kernel.
+    """Build the factored transform set from a tabulated kernel in O(nx^2 N).
 
-    Verifies the two-sided inverse identity to ``inverse_tol`` in the
-    max norm; failure indicates a near-inadmissible pair or a resolution
-    problem and is reported as a solver error.
+    Verifies the inverse identity to ``inverse_tol`` in the max norm;
+    failure (or a NaN residual) indicates a near-inadmissible pair or a
+    resolution problem and is reported as a solver error.
     """
     g = kernel.grid
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
-    U = upsilon_matrix(kernel)
-    phi, scalars = phi_matrix(U, basis, floor)
-    T = np.eye(g.nx) + U @ P.matrix
-    resid = float(
-        np.max(np.abs((np.eye(g.nx) - phi) @ T - np.eye(g.nx)))
-    )
-    if resid > inverse_tol:
+    UW = _upsilon_modes(kernel, basis.W)
+    X, scalars, _ = _phi_recursion(UW, basis, floor, strict=True)
+    resid = _inverse_residual(UW, X, basis)
+    if not resid <= inverse_tol:
         raise SolverError(
             f"inverse identity residual {resid:.3e} exceeds {inverse_tol:.1e}; "
             f"admissibility scalars {scalars}"
@@ -245,24 +287,24 @@ def build_transform(
         nu=kernel.nu,
         basis=basis,
         P=P,
-        upsilon=U,
-        phi=phi,
-        T=T,
+        kernel=kernel,
+        UW=UW,
+        X=X,
         admissibility=scalars,
         inverse_residual=resid,
     )
 
 
 def forward_transform(tset: TransformSet, w: np.ndarray) -> np.ndarray:
-    """u = w + Upsilon P_N w."""
-    w = tset.grid.check_vector(w)
-    return tset.T @ w
+    """u = w + Upsilon P_N w, for one vector or each row of a (k, nx) stack."""
+    w = tset.grid.check_stack(w)
+    return w + (tset.grid.dx * (w @ tset.basis.W)) @ tset.UW.T
 
 
 def inverse_transform(tset: TransformSet, u: np.ndarray) -> np.ndarray:
-    """w = u - Phi_N u."""
-    u = tset.grid.check_vector(u)
-    return u - tset.phi @ u
+    """w = u - Phi_N u, for one vector or each row of a (k, nx) stack."""
+    u = tset.grid.check_stack(u)
+    return u - (tset.grid.dx * (u @ tset.basis.W)) @ tset.X.T
 
 
 @dataclass(frozen=True)
@@ -299,8 +341,7 @@ def scan_admissibility(
     rows = []
     for mu in np.linspace(lo, hi, steps):
         kern = kernel_table(g, float(mu), nu, tol)
-        U = upsilon_matrix(kern)
-        _, scalars, ok = _phi_recursion(U, basis, floor, strict=False)
+        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, basis.W), basis, floor, strict=False)
         rows.append(ScanRow(mu=float(mu), scalars=tuple(scalars), admissible=ok))
     return rows
 
@@ -335,30 +376,55 @@ class OperatorNorms:
     normT_h1: float
 
 
-def _weighted_l2_opnorm(A: np.ndarray, wq: np.ndarray) -> float:
-    s = np.sqrt(wq)
-    return float(np.linalg.norm((A * s[:, None]) / s[None, :], 2))
+def _rank_n_opnorm(A: np.ndarray, B: np.ndarray) -> float:
+    """Spectral norm of I + A B^T for nx x N factors, through the QR of [A, B].
+
+    With [A, B] = Q [Ra, Rb] the operator is I + Ra Rb^T on the range of Q
+    and the identity on its complement, which is nonempty since 2N < nx.
+    """
+    n_modes = A.shape[1]
+    _, R = np.linalg.qr(np.hstack([A, B]))
+    small = np.eye(2 * n_modes) + R[:, :n_modes] @ R[:, n_modes:].T
+    return max(1.0, float(np.linalg.norm(small, 2)))
 
 
-def _h1_gram(grid: Grid) -> np.ndarray:
+def _h1_factor(grid: Grid) -> np.ndarray:
+    """Upper banded Cholesky factor U of the H1 Gram matrix S = U^T U.
+
+    S = diag(wq) + dx D^T D, with D the forward difference divided by dx,
+    is tridiagonal: off-diagonal -1/dx, diagonal wq + (1, 2, ..., 2, 1)/dx.
+    """
     n = grid.nx
-    D = (np.eye(n, k=1) - np.eye(n))[:-1, :] / grid.dx
-    return np.diag(trapezoid_weights(grid)) + grid.dx * (D.T @ D)
-
-
-def _h1_opnorm(A: np.ndarray, S: np.ndarray) -> float:
-    vals = scipy.linalg.eigh(A.T @ S @ A, S, eigvals_only=True)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    ab = np.empty((2, n))
+    ab[0] = -1.0 / grid.dx
+    ab[1] = 2.0 / grid.dx
+    ab[1, [0, -1]] = 1.0 / grid.dx
+    ab[1] += trapezoid_weights(grid)
+    return scipy.linalg.cholesky_banded(ab)
 
 
 def operator_norms(tset: TransformSet) -> OperatorNorms:
-    """Norms of T and I - Phi in the discrete L2 and H1 metrics."""
-    wq = trapezoid_weights(tset.grid)
-    Tinv = np.eye(tset.grid.nx) - tset.phi
-    S = _h1_gram(tset.grid)
-    return OperatorNorms(
-        c0=_weighted_l2_opnorm(Tinv, wq),
-        normT_l2=_weighted_l2_opnorm(tset.T, wq),
-        normTinv_h1=_h1_opnorm(Tinv, S),
-        normT_h1=_h1_opnorm(tset.T, S),
-    )
+    """Norms of T and I - Phi in the discrete L2 and H1 metrics, in O(nx N^2).
+
+    Both operators are I + A B^T with B = dx W.  In a metric ||v|| = ||F v||
+    the norm is that of I + (F A)(F^-T B)^T: F = diag(sqrt(wq)) for L2 and
+    the Cholesky factor U of the H1 Gram matrix, with U^-T B = U S^-1 B.
+    """
+    g = tset.grid
+    s = np.sqrt(trapezoid_weights(g))[:, None]
+    U = _h1_factor(g)
+
+    def upper(M):
+        out = U[1][:, None] * M
+        out[:-1] += U[0, 1:, None] * M[1:]
+        return out
+
+    B = g.dx * tset.basis.W
+    B_h1 = upper(scipy.linalg.cho_solve_banded((U, False), B))
+
+    def l2_h1(A):
+        return _rank_n_opnorm(s * A, B / s), _rank_n_opnorm(upper(A), B_h1)
+
+    c0, normTinv_h1 = l2_h1(-tset.X)
+    normT_l2, normT_h1 = l2_h1(tset.UW)
+    return OperatorNorms(c0, normT_l2, normTinv_h1, normT_h1)

@@ -271,6 +271,20 @@ class TestExitCodes:
         assert main(["simulate", "--nu", "nan", "--nx", "40", "--nt", "10"]) == 2
         assert "nu must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["design", "--rate", "inf"], "rate"),
+            (["design", "--length", "inf", "--rate", "2"], "length"),
+            (["design", "--rate", "nan"], "rate"),
+            (["design", "--nu", "nan", "--minimal"], "nu"),
+            (["kernel-dump", "--nu", "nan"], "nu"),
+        ],
+    )
+    def test_non_finite_design_parameter(self, argv, name, capsys):
+        assert main(argv) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         for raw, key in (({"viscosity": 1.0}, "viscosity"), ({"solver": "dense"}, "solver")):

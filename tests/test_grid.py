@@ -103,3 +103,29 @@ def test_laplacian_interior_and_boundary():
 def test_laplacian_needs_three_nodes():
     with pytest.raises(InvalidParameterError):
         r.laplacian_matrix(r.make_grid(1.0, 2))
+
+
+def test_norms_of_a_stack_are_row_norms():
+    g = r.make_grid(1.0, 50)
+    stack = np.random.default_rng(2).standard_normal((4, g.nx))
+    wq = r.trapezoid_weights(g)
+
+    def l2_ref(v):
+        return np.sqrt(np.dot(wq, v * v))
+
+    def h1_ref(v):
+        d = np.diff(v) / g.dx
+        return np.sqrt(l2_ref(v) ** 2 + g.dx * np.dot(d, d))
+
+    for norm, ref in ((r.l2_norm, l2_ref), (r.h1_norm, h1_ref)):
+        rows = norm(stack, g)
+        assert rows.shape == (4,)
+        for k in range(4):
+            single = norm(stack[k], g)
+            assert isinstance(single, float)
+            assert single == rows[k]
+            assert single == pytest.approx(ref(stack[k]), rel=1e-14)
+        with pytest.raises(DimensionError):
+            norm(stack[:, :-1], g)
+        with pytest.raises(DimensionError):
+            norm(stack[None], g)

@@ -105,3 +105,39 @@ def test_pde_residual_needs_enough_nodes():
 def test_table_values_read_only(exp1_kernel):
     with pytest.raises(ValueError):
         exp1_kernel.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "mu, nu, length",
+    [(6.0, 1.0, 1.0), (15.0, 1.0, 1.0), (3.0, 0.5, 2.0), (6.0, 1.0, 4.0), (-8.0, 1.0, 1.0), (-2.0, 0.7, 4.0)],
+)
+def test_table_matches_series_at_sampled_nodes(mu, nu, length, monkeypatch):
+    # 7-row blocks with a ragged tail, so the blocking is exercised
+    g = r.make_grid(length, 120)
+    monkeypatch.setattr(r.kernel, "BLOCK_ENTRIES", 7 * g.nx)
+    kern = r.kernel_table(g, mu, nu)
+    assert np.all(np.triu(kern.values, 1) == 0.0)
+    assert np.array_equal(np.diag(kern.values), -(mu * g.nodes) / (2.0 * nu))
+    scale = np.max(np.abs(kern.values))
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, g.nx, 60)
+    pairs = [(i, int(rng.integers(0, i + 1))) for i in rows] + [(g.nx - 1, g.nx - 1), (g.nx - 1, 0)]
+    for i, j in pairs:
+        expect = r.kernel_series(g.nodes[i], g.nodes[j], mu, nu, kern.order)
+        assert kern.values[i, j] == pytest.approx(expect, rel=1e-13, abs=1e-13 * scale)
+    # the achieved gap is the next series term, largest on the x = L row;
+    # the term is formed with explicit factorials (no cancellation)
+    m = kern.order + 1
+    gap = max(
+        abs(mu * y / (2.0 * nu)) * (abs(mu) / (4.0 * nu) * (g.length**2 - y * y)) ** m
+        / (math.factorial(m) * math.factorial(m + 1))
+        for y in g.nodes
+    )
+    assert kern.achieved_delta == pytest.approx(gap, rel=1e-12)
+    assert kern.achieved_delta < kern.tol
+
+
+def test_non_finite_diffusivity_rejected(grid200):
+    for nu in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="nu must be finite"):
+            r.kernel_table(grid200, 6.0, nu)

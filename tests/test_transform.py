@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import j1
@@ -216,3 +219,111 @@ def test_c0_against_power_iteration(exp1_tset):
 
 def test_build_transform_records_residual(exp2_tset):
     assert 0.0 <= exp2_tset.inverse_residual < 1e-8
+
+
+def test_stacked_transforms_match_rows(exp2_tset):
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3, exp2_tset.grid.nx))
+    fwd = r.forward_transform(exp2_tset, stack)
+    inv = r.inverse_transform(exp2_tset, stack)
+    for k in range(3):
+        assert np.max(np.abs(fwd[k] - r.forward_transform(exp2_tset, stack[k]))) < 1e-14
+        assert np.max(np.abs(inv[k] - r.inverse_transform(exp2_tset, stack[k]))) < 1e-14
+    with pytest.raises(DimensionError):
+        r.forward_transform(exp2_tset, np.zeros((2, 3, exp2_tset.grid.nx)))
+
+
+# dense oracles of the operator norms: the weighted spectral norm by a full
+# SVD, the H1 norm by a generalized symmetric eigenproblem
+def _weighted_l2_opnorm(A, wq):
+    s = np.sqrt(wq)
+    return float(np.linalg.norm((A * s[:, None]) / s[None, :], 2))
+
+
+def _h1_gram(grid):
+    n = grid.nx
+    D = (np.eye(n, k=1) - np.eye(n))[:-1, :] / grid.dx
+    return np.diag(r.trapezoid_weights(grid)) + grid.dx * (D.T @ D)
+
+
+def _h1_opnorm(A, S):
+    vals = scipy.linalg.eigh(A.T @ S @ A, S, eigvals_only=True)
+    return float(np.sqrt(max(vals[-1], 0.0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mu=st.floats(1.0, 25.0),
+    n_modes=st.integers(1, 3),
+    nx=st.integers(40, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
+    # every (mu, N) here is admissible with |1 + a_j| >= 0.04
+    g = r.make_grid(1.0, nx)
+    kern = r.kernel_table(g, mu, 1.0)
+    tset = r.build_transform(kern, n_modes)
+    basis = tset.basis
+    U = r.upsilon_matrix(kern)
+    eye = np.eye(nx)
+    T = eye + U @ r.projection_matrix(basis).matrix
+    Phi = np.column_stack([r.phi_apply_recursive(U, basis, e) for e in eye])
+    v = np.random.default_rng(seed).standard_normal(nx)
+    scale = np.max(np.abs(v))
+
+    inv = r.inverse_transform(tset, v)
+    assert np.max(np.abs(inv - (v - r.phi_apply_recursive(U, basis, v)))) <= 1e-12 * scale
+    assert np.max(np.abs(r.forward_transform(tset, v) - T @ v)) <= 1e-12 * scale
+    assert np.max(np.abs(tset.phi - Phi)) <= 1e-12 * max(1.0, np.max(np.abs(Phi)))
+
+    # gain against the direct quadrature of k(L, y) against P_N (I - Phi_N)
+    lead = r.trapezoid_weights(g) * kern.boundary_row()
+    direct = lead @ r.projection_matrix(basis).matrix @ (eye - Phi)
+    gain = r.feedback_gain(kern, tset)
+    assert np.max(np.abs(gain - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+    assert np.max(np.abs((eye - Phi) @ T - eye)) < 1e-10
+    assert np.max(np.abs(T @ (eye - Phi) - eye)) < 1e-10
+    assert tset.inverse_residual < 1e-10
+
+    norms = r.operator_norms(tset)
+    wq = r.trapezoid_weights(g)
+    S = _h1_gram(g)
+    assert norms.c0 == pytest.approx(_weighted_l2_opnorm(eye - Phi, wq), rel=1e-9)
+    assert norms.normT_l2 == pytest.approx(_weighted_l2_opnorm(T, wq), rel=1e-9)
+    assert norms.normTinv_h1 == pytest.approx(_h1_opnorm(eye - Phi, S), rel=1e-9)
+    assert norms.normT_h1 == pytest.approx(_h1_opnorm(T, S), rel=1e-9)
+
+
+def test_factored_build_allocates_no_dense_matrix():
+    # one 2000 x 2000 float64 array is 32 MB; build, gain and norms together
+    # must stay below a quarter of that
+    g = r.make_grid(1.0, 2000)
+    kern = r.kernel_table(g, 15.0, 1.0)
+    tracemalloc.start()
+    try:
+        tset = r.build_transform(kern, 2)
+        r.feedback_gain(kern, tset)
+        r.operator_norms(tset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert not {"phi", "T", "upsilon"} & set(vars(tset))
+    assert "matrix" not in vars(tset.P)
+
+
+@pytest.mark.parametrize("row", [0, 14, 199])
+def test_inverse_residual_matches_dense(exp2_tset, monkeypatch, row):
+    # 7-row blocks with a ragged tail; a wrong inverse factor in one row puts
+    # the residual far above roundoff, in that row only
+    tset = exp2_tset
+    nx = tset.grid.nx
+    monkeypatch.setattr(r.transform, "BLOCK_ENTRIES", 7 * nx)
+    X = tset.X.copy()
+    X[row] += 1e-3
+    eye = np.eye(nx)
+    dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ tset.T - eye))
+    assert dense > 1e-6
+    got = r.transform._inverse_residual(tset.UW, X, tset.basis)
+    assert got == pytest.approx(dense, rel=1e-10)
