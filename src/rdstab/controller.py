@@ -28,6 +28,7 @@ from .errors import (
     InadmissiblePairError,
     InfeasibleRateError,
     InvalidParameterError,
+    check_scalars,
 )
 from .grid import make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
@@ -56,13 +57,7 @@ RETRY_FACTORS = (1.0, 1.05, 0.95, 1.10, 0.90, 1.15)
 
 
 def _check_coeffs(nu: float, alpha: float, length: float) -> None:
-    for name, value in (("nu", nu), ("alpha", alpha), ("length", length)):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
-    if nu <= 0:
-        raise InvalidParameterError(f"diffusion coefficient must be positive, got {nu}")
-    if length <= 0:
-        raise InvalidParameterError(f"domain length must be positive, got {length}")
+    check_scalars(nu=nu, alpha=alpha, length=length, positive=("nu", "length"))
 
 
 def gamma_rate(nu: float, alpha: float, mu: float, n_modes: int, length: float = 1.0) -> float:
@@ -426,10 +421,7 @@ def design_rapid(
     pair is retried at perturbed mu (up to 5 attempts) before failing.
     """
     _check_coeffs(nu, alpha, length)
-    if not math.isfinite(rate_target):
-        raise InvalidParameterError(f"target rate must be finite, got {rate_target}")
-    if rate_target <= 0:
-        raise InvalidParameterError(f"target rate must be positive, got {rate_target}")
+    check_scalars(rate=rate_target, positive=("rate",))
     lam1 = eigenvalue(1, length)
     mu = max(alpha - nu * lam1, 0.0) + max(rate_target, 1.0)
     for _ in range(200):

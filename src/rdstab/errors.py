@@ -6,6 +6,8 @@ the numerical machinery (subclasses of ``SolverError``).  The CLI maps these
 onto process exit codes; see ``rdstab.cli``.
 """
 
+import math
+
 __all__ = [
     "RdstabError",
     "InvalidParameterError",
@@ -18,6 +20,7 @@ __all__ = [
     "SolverError",
     "ConvergenceError",
     "NewtonDivergenceError",
+    "NonFiniteStateError",
     "FitError",
 ]
 
@@ -92,5 +95,26 @@ class NewtonDivergenceError(SolverError):
         )
 
 
+class NonFiniteStateError(SolverError):
+    """A time step produced a non-finite state (overflow or NaN)."""
+
+    def __init__(self, step: int):
+        self.step = step
+        super().__init__(f"state became non-finite at time step {step}")
+
+
 class FitError(SolverError):
     """Decay-rate fitting failed (window too short or norms at machine zero)."""
+
+
+def check_scalars(positive=(), **values: float) -> None:
+    """Reject non-finite values, and non-positive ones among ``positive``.
+
+    Raises :class:`InvalidParameterError` naming the first offending value.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
+    for name in positive:
+        if values[name] <= 0:
+            raise InvalidParameterError(f"{name} must be positive, got {values[name]}")

@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvalidParameterError,
+    check_scalars,
 )
 from .grid import Grid
 
@@ -41,15 +42,6 @@ __all__ = [
     "kernel_table",
     "kernel_pde_residual",
 ]
-
-
-def _check_coeffs(mu: float, nu: float) -> None:
-    if not np.isfinite(nu):
-        raise InvalidParameterError(f"nu must be finite, got {nu}")
-    if nu <= 0:
-        raise InvalidParameterError(f"diffusivity must be positive, got {nu}")
-    if not np.isfinite(mu):
-        raise InvalidParameterError(f"damping coefficient must be finite, got {mu}")
 
 
 def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float:
@@ -69,7 +61,7 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
     float
         k^M(x, y).
     """
-    _check_coeffs(mu, nu)
+    check_scalars(nu=nu, mu=mu, positive=("nu",))
     if order < 0:
         raise InvalidParameterError(f"truncation order must be >= 0, got {order}")
     if y < 0 or y > x:
@@ -91,7 +83,7 @@ def truncate_order(mu: float, nu: float, grid: Grid, tol: float = DEFAULT_KERNEL
     grows with x at fixed y, so the maximum over the triangle is attained on
     the x = L row.  The scan therefore only tracks that row.
     """
-    _check_coeffs(mu, nu)
+    check_scalars(nu=nu, mu=mu, positive=("nu",))
     if tol <= 0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     y = grid.nodes

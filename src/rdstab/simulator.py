@@ -5,22 +5,25 @@ nonlinear model) with A = -nu*Laplacian - alpha*I, optionally augmented by
 the modal damping term mu*P_N.  Three dynamics modes are supported:
 
 * ``paper_faithful``: A includes mu*P_N and the right boundary carries the
-  lagged feedback value (both stabilizing mechanisms at once).
+  feedback (both stabilizing mechanisms at once).
 * ``plant``: A without mu*P_N; the closed loop acts through the boundary
   feedback only.
 * ``target``: A with mu*P_N and homogeneous Dirichlet boundary; feedback
   is rejected since the target model has none.
 
-Each step solves (I + dt/2 A) u^{n+1} = (I - dt/2 A) u^n with the first and
-last rows replaced by the Dirichlet constraints.  The nonlinear model adds
--(dt/2)[(u^{n+1})^3 + (u^n)^3] to the balance and resolves each step by a
-Newton iteration whose boundary value is re-imposed from the previous
-iterate; convergence is max|du| <= newton_tol.
+Each step solves (I + dt/2 A) u^{n+1} = (I - dt/2 A) u^n on the interior
+rows.  The first row imposes u_0 = 0; under feedback the last row imposes the
+boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and without it u_L = 0.
+The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
+balance and resolves each step by Newton's method on the same operator;
+convergence is max|du| <= newton_tol.
 
-Every step, linear or Newton, uses one solver: I + dt/2 A is a tridiagonal
-core plus the rank-N term mu*P_N, so a banded solve followed by an N x N
-Woodbury correction costs O(nx*N).  ``assemble_A``, ``step_linear`` and
-``step_nonlinear`` are dense reference implementations for testing.
+Every step, linear or Newton, uses one solver: the closed-loop operator is a
+tridiagonal core plus the rank-N term mu*P_N and, under feedback, the
+rank-one gain row, so a banded solve followed by a Woodbury correction costs
+O(nx*N).  ``assemble_A``, ``step_linear`` and ``step_nonlinear`` are dense
+reference implementations for testing; ``step_linear`` takes the boundary
+value as an argument.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from .errors import (
     DimensionError,
     InvalidParameterError,
     NewtonDivergenceError,
+    NonFiniteStateError,
+    SolverError,
+    check_scalars,
 )
 from .grid import Grid, Tridiagonal, h1_norm, l2_norm, laplacian_matrix, make_grid
 from .kernel import Kernel, kernel_table
@@ -93,20 +99,14 @@ class SimulationConfig:
         return self.tmax / (self.nt - 1)
 
     def validate(self) -> None:
-        for name in ("nu", "alpha", "mu", "length", "tmax", "newton_tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
-        if self.nu <= 0:
-            raise InvalidParameterError(f"diffusion coefficient must be positive, got {self.nu}")
-        if self.length <= 0:
-            raise InvalidParameterError(f"domain length must be positive, got {self.length}")
+        check_scalars(
+            nu=self.nu, alpha=self.alpha, mu=self.mu, length=self.length, tmax=self.tmax,
+            newton_tol=self.newton_tol, positive=("nu", "length", "tmax", "newton_tol"),
+        )
         if self.nx < 3:
             raise InvalidParameterError(f"need at least 3 nodes, got {self.nx}")
         if self.nt < 2:
             raise InvalidParameterError(f"need at least 2 time levels, got {self.nt}")
-        if self.tmax <= 0:
-            raise InvalidParameterError(f"time horizon must be positive, got {self.tmax}")
         if self.model not in MODELS:
             raise InvalidParameterError(f"unknown model {self.model!r}")
         if self.dynamics not in DYNAMICS_MODES:
@@ -121,8 +121,6 @@ class SimulationConfig:
                 )
             if self.n_modes < 1:
                 raise InvalidParameterError("feedback control needs at least one mode")
-        if self.newton_tol <= 0:
-            raise InvalidParameterError(f"Newton tolerance must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise InvalidParameterError("Newton iteration budget must be at least 1")
         if self.forcing is not None and self.model != "linear":
@@ -133,10 +131,11 @@ class SimulationConfig:
 class Trajectory:
     """Time history of one run.
 
-    ``controls[n]`` is the boundary value applied to reach level n+1 (the
-    lagged feedback g(u^n)); the final entry is the value that would be
-    applied next.  ``newton_iters[n]`` counts the inner iterations that
-    produced level n (zero for linear runs and at n = 0).
+    ``controls[n]`` is the feedback value g(u^n) of level n (zero without
+    feedback).  The boundary law is implicit, so ``states[n, -1]`` equals it
+    to rounding for n >= 1; the initial state need not satisfy it.
+    ``newton_iters[n]`` counts the inner iterations that produced level n
+    (zero for linear runs and at n = 0).
     """
 
     times: np.ndarray
@@ -278,95 +277,77 @@ def step_nonlinear(
     raise NewtonDivergenceError(0, history)
 
 
-def _crank_pair(core: Tridiagonal, dt: float):
-    """Tridiagonal factors I +/- dt/2 * core with exact identity boundary rows."""
-
-    def shifted(sign):
-        diag = 1.0 + sign * 0.5 * dt * core.diag
-        sub = sign * 0.5 * dt * core.sub
-        sup = sign * 0.5 * dt * core.sup
-        diag[0] = diag[-1] = 1.0
-        sub[-1] = 0.0
-        sup[0] = 0.0
-        return Tridiagonal(sub=sub, diag=diag, sup=sup)
-
-    return shifted(+1.0), shifted(-1.0)
+def _interior(v: np.ndarray) -> np.ndarray:
+    """Zero the two constraint rows of v in place and return it."""
+    v[0] = v[-1] = 0.0
+    return v
 
 
 class _Stepper:
-    """Crank-Nicolson operators of one run, applied and solved in O(nx*N).
+    """Closed-loop Crank-Nicolson operator C = I + dt/2 A of one run.
 
-    C_plus = I + dt/2 A is a tridiagonal core with identity constraint rows
-    plus, when mu*P_N is present, the rank-N term lr_coef * U_w W^T.  Every
-    step, linear or Newton, goes through ``solve``: one banded solve on
-    [rhs, U_w] and an N x N capacitance correction (Woodbury identity).
+    C is a tridiagonal core with identity constraint rows plus the low-rank
+    term U V^T.  With mu*P_N present, U holds W with its boundary rows zeroed
+    and V holds dt/2 mu dx W; under feedback, U gains e_L and V gains -gain,
+    so the last row reads u_L - g(u).  Every step, linear or Newton, goes
+    through ``solve``: one banded solve on [rhs, U] and a k x k capacitance
+    correction (Woodbury identity), k <= N + 1, in O(nx*N).
     """
 
-    def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix]):
-        core = laplacian_matrix(grid)
-        # _crank_pair resets the constraint rows, so the alpha shift and nu
-        # scaling may touch them here
-        core = Tridiagonal(
-            sub=-config.nu * core.sub,
-            diag=-config.nu * core.diag - config.alpha,
-            sup=-config.nu * core.sup,
-        )
-        self.tri_plus, self.tri_minus = _crank_pair(core, config.dt)
-        with_proj = config.dynamics in ("paper_faithful", "target")
-        if with_proj and config.mu != 0.0:
+    def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix],
+                 gain: Optional[np.ndarray]):
+        lap = laplacian_matrix(grid)
+        h = 0.5 * config.dt
+        diag = 1.0 + h * (-config.nu * lap.diag - config.alpha)
+        sub = h * (-config.nu * lap.sub)
+        sup = h * (-config.nu * lap.sup)
+        diag[0] = diag[-1] = 1.0
+        sub[-1] = sup[0] = 0.0
+        self.tri = Tridiagonal(sub=sub, diag=diag, sup=sup)
+        self.ab = self.tri.banded()
+        U, V = [], []
+        if config.dynamics in ("paper_faithful", "target") and config.mu != 0.0:
             W = P.basis.W
-            U_w = W.copy()
-            U_w[0, :] = 0.0
-            U_w[-1, :] = 0.0
-            self.lr_coef = 0.5 * config.dt * config.mu * grid.dx
-            self.W = W
-            self.U_w = U_w
-        else:
-            self.lr_coef = 0.0
-            self.W = None
-            self.U_w = None
+            U.append(_interior(W.copy()))
+            V.append(h * config.mu * grid.dx * W)
+        if gain is not None:
+            e_L = np.zeros((grid.nx, 1))
+            e_L[-1] = 1.0
+            U.append(e_L)
+            V.append(-gain[:, None])
+        self.U = np.hstack(U) if U else None
+        self.V = np.hstack(V) if V else None
 
-    def cplus_mv(self, v: np.ndarray) -> np.ndarray:
-        out = self.tri_plus.matvec(v)
-        if self.lr_coef:
-            out += self.lr_coef * (self.U_w @ (self.W.T @ v))
-        return out
-
-    def cminus_mv(self, v: np.ndarray) -> np.ndarray:
-        out = self.tri_minus.matvec(v)
-        if self.lr_coef:
-            out -= self.lr_coef * (self.U_w @ (self.W.T @ v))
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        out = self.tri.matvec(v)
+        if self.U is not None:
+            out += self.U @ (self.V.T @ v)
         return out
 
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
-        """Solve (C_plus + diag(shift)) x = rhs; the constraint rows ignore shift."""
-        ab = self.tri_plus.banded()
+        """Solve (C + diag(shift)) x = rhs; the constraint rows ignore shift."""
+        ab = self.ab
         if shift is not None:
+            ab = ab.copy()
             ab[1, 1:-1] += shift[1:-1]
-        if not self.lr_coef:
-            return scipy.linalg.solve_banded((1, 1), ab, rhs)
-        Y = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, self.U_w]))
-        y = Y[:, 0]
-        YU = Y[:, 1:]
-        S = np.eye(self.W.shape[1]) / self.lr_coef + self.W.T @ YU
-        return y - YU @ np.linalg.solve(S, self.W.T @ y)
+        if self.U is None:
+            return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        Y = scipy.linalg.solve_banded(
+            (1, 1), ab, np.column_stack([rhs, self.U]), check_finite=False
+        )
+        y, YU = Y[:, 0], Y[:, 1:]
+        S = np.eye(YU.shape[1]) + self.V.T @ YU
+        return y - YU @ np.linalg.solve(S, self.V.T @ y)
 
 
-def _build_feedback(config: SimulationConfig, grid: Grid):
-    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
-    tset = build_transform(kern, config.n_modes)
-    return kern, tset, feedback_gain(kern, tset)
-
-
-def _package(config, grid, times, states, controls, iters) -> Trajectory:
-    states = np.asarray(states)
+def _package(grid, times, states, iters, gain) -> Trajectory:
     return Trajectory(
-        times=np.asarray(times),
+        times=times,
         states=states,
-        controls=np.asarray(controls),
+        controls=states @ gain if gain is not None else np.zeros(times.shape[0]),
         l2_norms=l2_norm(states, grid),
         h1_norms=h1_norm(states, grid),
-        newton_iters=np.asarray(iters, dtype=int),
+        newton_iters=iters,
     )
 
 
@@ -374,72 +355,77 @@ def run_simulation(config: SimulationConfig) -> Trajectory:
     """March the configured model from t = 0 to t = tmax.
 
     Deterministic: identical configs produce identical trajectories.  A
-    Newton failure is raised with the truncated trajectory attached as
-    ``err.partial``.
+    solver failure (Newton budget exhausted, non-finite state) is raised with
+    the truncated trajectory attached as ``err.partial``.
     """
     config.validate()
     grid = make_grid(config.length, config.nx)
-    u = initial_state(config, grid)
-    with_proj = config.dynamics in ("paper_faithful", "target")
+    u0 = initial_state(config, grid)
+    gain = _feedback_row(config, grid) if config.control == "feedback" else None
+    return _march(config, grid, u0, gain)
+
+
+def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
+    # a function of its own, so the nx x nx kernel table is freed before the march
+    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
+    return feedback_gain(kern, build_transform(kern, config.n_modes))
+
+
+def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
+           gain: Optional[np.ndarray]) -> Trajectory:
+    """March from u0 under ``config.dynamics``; ``gain`` is the feedback row or None."""
     P = None
-    if with_proj or config.control == "feedback":
-        basis = modal_basis(grid, config.n_modes)
-        P = projection_matrix(basis)
-    gain = None
-    if config.control == "feedback":
-        _, _, gain = _build_feedback(config, grid)
-    stepper = _Stepper(config, grid, P)
+    if config.dynamics in ("paper_faithful", "target"):
+        P = projection_matrix(modal_basis(grid, config.n_modes))
+    stepper = _Stepper(config, grid, P, gain)
     times = np.linspace(0.0, config.tmax, config.nt)
     states = np.empty((config.nt, grid.nx))
-    controls = np.zeros(config.nt)
     iters = np.zeros(config.nt, dtype=int)
-    states[0] = u
+    states[0] = u0
     dt = config.dt
     x = grid.nodes
-    for n in range(config.nt - 1):
-        if config.model == "linear":
-            g_val = float(gain @ u) if gain is not None else 0.0
-            rhs = stepper.cminus_mv(u)
-            if config.forcing is not None:
-                rhs += 0.5 * dt * (config.forcing(x, times[n]) + config.forcing(x, times[n + 1]))
-            rhs[0] = 0.0
-            rhs[-1] = g_val
-            u = stepper.solve(rhs)
-            u[0] = 0.0
-            u[-1] = g_val
-        else:
+    # overflow surfaces as NonFiniteStateError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(config.nt - 1):
+            u = states[n]
             try:
-                u, k = _newton_march_step(stepper, u, gain, config, n)
-            except NewtonDivergenceError as err:
-                err.partial = _package(
-                    config, grid, times[: n + 1], states[: n + 1],
-                    controls[: n + 1], iters[: n + 1],
-                )
+                if config.model == "linear":
+                    rhs = 2.0 * u - stepper.matvec(u)
+                    if config.forcing is not None:
+                        f = config.forcing
+                        rhs += 0.5 * dt * (f(x, times[n]) + f(x, times[n + 1]))
+                    u = stepper.solve(_interior(rhs))
+                else:
+                    u, iters[n + 1] = _newton_step(stepper, u, config, n)
+                if not np.isfinite(u).all():
+                    raise NonFiniteStateError(n)
+            except SolverError as err:
+                err.partial = _package(grid, times[: n + 1], states[: n + 1], iters[: n + 1], gain)
                 raise
-            iters[n + 1] = k
-        states[n + 1] = u
-        # the value actually imposed at the right boundary for level n+1
-        controls[n] = u[-1] if gain is not None else 0.0
-    controls[-1] = float(gain @ u) if gain is not None else 0.0
-    return _package(config, grid, times, states, controls, iters)
+            u[0] = 0.0  # the pivoted banded solve leaves rounding in this row
+            states[n + 1] = u
+    return _package(grid, times, states, iters, gain)
 
 
-def _newton_march_step(stepper: _Stepper, u: np.ndarray, gain, config: SimulationConfig, n: int):
+def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: int):
+    """Newton iteration for C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows.
+
+    The constraint rows u'_0 = 0 and u'_L = g(u') are linear and part of C, so
+    they hold after the first update.
+    """
     dt = config.dt
-    B = stepper.cminus_mv(u) - 0.5 * dt * u**3
-    up = u.copy()
+    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * u**3)
+    up = u
     history = []
     for p in range(config.newton_max_iter):
-        g_val = float(gain @ up) if gain is not None else 0.0
-        F = B - stepper.cplus_mv(up) - 0.5 * dt * up**3
-        F[0] = -up[0]
-        F[-1] = g_val - up[-1]
+        F = B - stepper.matvec(up) - _interior(0.5 * dt * up**3)
         du = stepper.solve(F, 1.5 * dt * up**2)
         up = up + du
         delta = float(np.max(np.abs(du)))
+        if not math.isfinite(delta):
+            raise NonFiniteStateError(n)
         history.append(delta)
         if delta <= config.newton_tol:
-            up[0] = 0.0
             return up, p + 1
     raise NewtonDivergenceError(n, history)
 
@@ -455,15 +441,12 @@ def run_target_consistency(config: SimulationConfig):
         raise InvalidParameterError("target consistency is defined for the linear model")
     grid = make_grid(config.length, config.nx)
     u0 = initial_state(config, grid)
-    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
-    tset = build_transform(kern, config.n_modes)
-    w0 = inverse_transform(tset, u0)
-    plant_cfg = replace(config, dynamics="plant", control="feedback", u0=u0)
-    target_cfg = replace(config, dynamics="target", control="off", u0=w0)
-    traj_u = run_simulation(plant_cfg)
-    traj_w = run_simulation(target_cfg)
     denom = l2_norm(u0, grid)
     if denom == 0.0:
         raise InvalidParameterError("zero initial state has no relative mismatch")
+    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
+    tset = build_transform(kern, config.n_modes)
+    traj_u = _march(replace(config, dynamics="plant"), grid, u0, feedback_gain(kern, tset))
+    traj_w = _march(replace(config, dynamics="target"), grid, inverse_transform(tset, u0), None)
     mismatch = l2_norm(traj_u.states - forward_transform(tset, traj_w.states), grid) / denom
     return traj_u, traj_w, mismatch

@@ -331,6 +331,14 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg)]) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_run_exit_4(self, tmp_path, capsys):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "u0": {"sine_coeffs": [1e120]}, "model": "nonlinear", "nx": 50, "nt": 10,
+        }))
+        assert main(["simulate", "--config", str(cfg)]) == 4
+        assert "non-finite at time step 0" in capsys.readouterr().err
+
 
 class TestSubprocess:
     def test_version(self):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import rdstab as r
+import rdstab.simulator
 from rdstab.errors import (
     DimensionError,
     InvalidParameterError,
     NewtonDivergenceError,
+    NonFiniteStateError,
+    SolverError,
 )
 
 
@@ -201,10 +204,18 @@ class TestStepLinear:
         else:
             A = r.assemble_A(1.0, 12.0, 6.0, grid200, exp1_tset.P, "paper_faithful")
         gain = r.feedback_gain(exp1_kernel, exp1_tset)
+        # dense implicit closed loop: the last row is the boundary law u_L - g(u) = 0
+        n = grid200.nx
+        C_plus = np.eye(n) + 0.5 * c.dt * A
+        C_minus = np.eye(n) - 0.5 * c.dt * A
+        C_plus[0] = np.eye(n)[0]
+        C_plus[-1] = np.eye(n)[-1] - gain
         u = r.initial_state(c, grid200)
-        for n in range(c.nt - 1):
-            u = r.step_linear(u, A, c.dt, float(gain @ u))
-            assert np.max(np.abs(u - traj.states[n + 1])) < 1e-9
+        for k in range(c.nt - 1):
+            rhs = C_minus @ u
+            rhs[0] = rhs[-1] = 0.0
+            u = np.linalg.solve(C_plus, rhs)
+            assert np.max(np.abs(u - traj.states[k + 1])) < 1e-9
 
 
 def _mask(nx):
@@ -292,11 +303,30 @@ class TestRunSimulation:
                 dynamics="paper_faithful", control="feedback",
                 nx=100, nt=120, tmax=1.0, u0="exp2")
         traj = r.run_simulation(c)
-        for n in range(traj.nt - 1):
-            assert traj.controls[n] == traj.states[n + 1][-1]
+        # the boundary law is implicit: every level after the first satisfies u_L = g(u)
+        assert np.max(np.abs(traj.controls[1:] - traj.states[1:, -1])) < 1e-12
         assert np.any(traj.controls != 0.0)
         assert np.all(traj.newton_iters[1:] >= 1)
         assert traj.newton_iters[0] == 0
+
+    @pytest.mark.parametrize("dynamics", ["paper_faithful", "plant"])
+    def test_newton_exact_on_boundary_row(self, dynamics):
+        # the gain row is inside the Newton operator, so no boundary fixed point slows it
+        c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
+                dynamics=dynamics, control="feedback",
+                nx=100, nt=120, tmax=1.0, u0="exp2")
+        traj = r.run_simulation(c)
+        assert traj.newton_iters.max() <= 4
+
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    def test_controls_are_gain_times_states(self, model):
+        c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model=model,
+                dynamics="paper_faithful", control="feedback", nx=100, nt=40, u0="exp2")
+        traj = r.run_simulation(c)
+        kern = r.kernel_table(r.make_grid(1.0, 100), 15.0, 1.0)
+        gain = r.feedback_gain(kern, r.build_transform(kern, 2))
+        assert np.array_equal(traj.controls, traj.states @ gain)
+        assert traj.controls[0] != traj.states[0, -1]
 
     def test_uncontrolled_boundary_zero(self):
         traj = r.run_simulation(cfg(alpha=12.0, nt=20))
@@ -358,6 +388,20 @@ class TestRunSimulation:
         assert err.partial.nt == 1
         assert err.partial.states.shape == (1, 60)
 
+    @pytest.mark.parametrize("model, amp, alpha", [
+        ("linear", 1e300, 30.0),  # the unstable mode grows ~3x per step and overflows
+        ("nonlinear", 1e120, 0.0),  # the cubic term overflows on the first step
+    ])
+    def test_non_finite_state_carries_partial_trajectory(self, model, amp, alpha):
+        c = cfg(model=model, u0={"sine_coeffs": [amp]}, alpha=alpha, nx=50, nt=40, tmax=2.0)
+        with pytest.raises(NonFiniteStateError) as exc:
+            r.run_simulation(c)
+        err = exc.value
+        assert isinstance(err, SolverError)
+        assert err.partial.nt == err.step + 1
+        assert (err.step > 0) == (model == "linear")
+        assert np.all(np.isfinite(err.partial.states))
+
 
 class TestTargetConsistency:
     def test_initial_mismatch_at_inverse_tolerance(self):
@@ -381,6 +425,16 @@ class TestTargetConsistency:
         # vanish at x = L: the initial state is not feedback-compatible)
         assert np.all(traj_w.states[1:, -1] == 0.0)
         assert np.all(traj_u.states[:, 0] == 0.0)
+
+    def test_one_set_up_per_check(self, monkeypatch):
+        calls = []
+        table = rdstab.simulator.kernel_table
+        monkeypatch.setattr(rdstab.simulator, "kernel_table",
+                            lambda *a, **k: calls.append(a) or table(*a, **k))
+        c = cfg(nu=1.0, alpha=12.0, mu=6.0, nx=60, nt=20, tmax=0.5,
+                dynamics="paper_faithful", control="feedback", u0="exp1")
+        r.run_target_consistency(c)
+        assert len(calls) == 1
 
     def test_rejects_nonlinear_and_zero_state(self):
         with pytest.raises(InvalidParameterError):
