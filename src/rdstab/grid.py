@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import BLOCK_ENTRIES
 from .errors import DimensionError, InvalidParameterError
 
 __all__ = [
@@ -120,10 +121,15 @@ def h1_norm(values: np.ndarray, grid: Grid):
     vector; an array of row norms for a (k, nx) stack.
     """
     values = grid.check_stack(values)
-    diff = np.diff(values, axis=-1)
-    semi = np.einsum("...i,...i->...", diff, diff) / grid.dx
-    out = np.sqrt(l2_norm(values, grid) ** 2 + semi)
-    return float(out) if values.ndim == 1 else out
+    stack = np.atleast_2d(values)
+    semi = np.empty(stack.shape[0])
+    # row blocks, so a stack of levels needs no second stack for its differences
+    rows = max(1, BLOCK_ENTRIES // grid.nx)
+    for i in range(0, stack.shape[0], rows):
+        diff = np.diff(stack[i:i + rows], axis=-1)
+        semi[i:i + rows] = np.einsum("ij,ij->i", diff, diff)
+    out = np.sqrt(l2_norm(values, grid) ** 2 + semi / grid.dx)
+    return float(out[0]) if values.ndim == 1 else out
 
 
 @dataclass(frozen=True)
@@ -153,14 +159,6 @@ class Tridiagonal:
         out[1:] += self.sub * v[:-1]
         out[:-1] += self.sup * v[1:]
         return out
-
-    def banded(self) -> np.ndarray:
-        """Diagonal-ordered form for ``scipy.linalg.solve_banded`` with (1, 1)."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.sup
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub
-        return ab
 
 
 def laplacian_matrix(grid: Grid) -> Tridiagonal:

@@ -18,27 +18,27 @@ The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
 balance and resolves each step by Newton's method on the same operator;
 convergence is max|du| <= newton_tol.
 
-Every step, linear or Newton, uses one solver: the closed-loop operator is a
-tridiagonal core plus the rank-N term mu*P_N and, under feedback, the
-rank-one gain row, so a banded solve followed by a Woodbury correction costs
-O(nx*N).  ``assemble_A``, ``step_linear`` and ``step_nonlinear`` are dense
-reference implementations for testing; ``step_linear`` takes the boundary
-value as an argument.
+The closed-loop operator is a tridiagonal core plus the rank-N term mu*P_N
+and, under feedback, the rank-one gain row, and every solve goes through the
+Woodbury identity in O(nx*N).  A linear run factors the core once (LAPACK
+gttrf) and folds the low-rank correction into one nx x k matrix, so a step is
+one gttrs plus two thin products.  A Newton iteration shifts the diagonal, so
+it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .constants import DEFAULT_KERNEL_TOL, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
 from .controller import feedback_gain
 from .errors import (
-    DimensionError,
     InvalidParameterError,
     NewtonDivergenceError,
     NonFiniteStateError,
@@ -46,17 +46,14 @@ from .errors import (
     check_scalars,
 )
 from .grid import Grid, Tridiagonal, h1_norm, l2_norm, laplacian_matrix, make_grid
-from .kernel import Kernel, kernel_table
+from .kernel import kernel_table
 from .spectral import ProjectionMatrix, modal_basis, projection_matrix
-from .transform import TransformSet, build_transform, forward_transform, inverse_transform
+from .transform import build_transform, forward_transform, inverse_transform
 
 __all__ = [
     "SimulationConfig",
     "Trajectory",
     "initial_state",
-    "assemble_A",
-    "step_linear",
-    "step_nonlinear",
     "run_simulation",
     "run_target_consistency",
 ]
@@ -125,6 +122,23 @@ class SimulationConfig:
             raise InvalidParameterError("Newton iteration budget must be at least 1")
         if self.forcing is not None and self.model != "linear":
             raise InvalidParameterError("forcing terms are supported for the linear model only")
+        # states, plus the nx x nx kernel table of the feedback set-up
+        need = 8 * self.nt * self.nx + (8 * self.nx**2 if self.control == "feedback" else 0)
+        have = _physical_memory()
+        if have is not None and need > have:
+            raise InvalidParameterError(
+                f"nx = {self.nx}, nt = {self.nt} needs about {need / 2**30:.3g} GiB, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
+            )
+
+
+def _physical_memory() -> Optional[int]:
+    """Physical memory in bytes, or None where sysconf does not report it."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
 
 
 @dataclass(frozen=True)
@@ -181,106 +195,28 @@ def initial_state(config: SimulationConfig, grid: Grid) -> np.ndarray:
     return u
 
 
-def assemble_A(
-    nu: float,
-    alpha: float,
-    mu: float,
-    grid: Grid,
-    P: Optional[ProjectionMatrix],
-    dynamics: str,
-) -> np.ndarray:
-    """Spatial operator -nu*Laplacian - alpha*I (+ mu*P), identity boundary rows."""
-    if dynamics not in DYNAMICS_MODES:
-        raise InvalidParameterError(f"unknown dynamics mode {dynamics!r}")
-    A = -nu * laplacian_matrix(grid).to_dense() - alpha * np.eye(grid.nx)
-    if dynamics in ("paper_faithful", "target"):
-        if P is None:
-            raise InvalidParameterError(f"dynamics {dynamics!r} needs a projection matrix")
-        if P.basis.grid.nx != grid.nx:
-            raise DimensionError(
-                f"projection grid ({P.basis.grid.nx} nodes) does not match ({grid.nx})"
-            )
-        A = A + mu * P.matrix
-    A[0, :] = 0.0
-    A[0, 0] = 1.0
-    A[-1, :] = 0.0
-    A[-1, -1] = 1.0
-    return A
-
-
-def _dirichlet_rows(C: np.ndarray) -> np.ndarray:
-    C[0, :] = 0.0
-    C[0, 0] = 1.0
-    C[-1, :] = 0.0
-    C[-1, -1] = 1.0
-    return C
-
-
-def step_linear(u: np.ndarray, A: np.ndarray, dt: float, boundary_value: float) -> np.ndarray:
-    """One Crank-Nicolson step of the linear model (reference dense solve)."""
-    n = A.shape[0]
-    if u.shape != (n,):
-        raise DimensionError(f"state length {u.shape} does not match operator size {n}")
-    C_plus = _dirichlet_rows(np.eye(n) + 0.5 * dt * A)
-    rhs = (np.eye(n) - 0.5 * dt * A) @ u
-    rhs[0] = 0.0
-    rhs[-1] = boundary_value
-    out = np.linalg.solve(C_plus, rhs)
-    out[0] = 0.0
-    out[-1] = boundary_value
-    return out
-
-
-def step_nonlinear(
-    u: np.ndarray,
-    A: np.ndarray,
-    dt: float,
-    tset: Optional[TransformSet],
-    kernel: Optional[Kernel],
-    control: str,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-):
-    """One step of the nonlinear model by Newton iteration (reference dense path).
-
-    Returns (u_next, iterations).  Under feedback the boundary value of each
-    new iterate is the feedback evaluated at the previous one, so the
-    constraint converges together with the interior update.
-    """
-    if control not in CONTROL_MODES:
-        raise InvalidParameterError(f"unknown control mode {control!r}")
-    if control == "feedback" and (tset is None or kernel is None):
-        raise InvalidParameterError("feedback control needs the kernel and transform")
-    n = A.shape[0]
-    if u.shape != (n,):
-        raise DimensionError(f"state length {u.shape} does not match operator size {n}")
-    gain = feedback_gain(kernel, tset) if control == "feedback" else None
-    C_plus = _dirichlet_rows(np.eye(n) + 0.5 * dt * A)
-    B = (np.eye(n) - 0.5 * dt * A) @ u - 0.5 * dt * u**3
-    up = u.copy()
-    history = []
-    interior = np.arange(1, n - 1)
-    for p in range(newton_max_iter):
-        g_val = float(gain @ up) if gain is not None else 0.0
-        F = B - C_plus @ up - 0.5 * dt * up**3
-        F[0] = -up[0]
-        F[-1] = g_val - up[-1]
-        J = C_plus.copy()
-        J[interior, interior] += 1.5 * dt * up[interior] ** 2
-        du = np.linalg.solve(J, F)
-        up = up + du
-        delta = float(np.max(np.abs(du)))
-        history.append(delta)
-        if delta <= newton_tol:
-            up[0] = 0.0
-            return up, p + 1
-    raise NewtonDivergenceError(0, history)
-
-
 def _interior(v: np.ndarray) -> np.ndarray:
     """Zero the two constraint rows of v in place and return it."""
     v[0] = v[-1] = 0.0
     return v
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a scipy LAPACK wrapper; a nonzero ``info`` (its last output) raises SolverError."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise SolverError(
+            f"LAPACK {routine.__name__} returned info = {info}"
+            + (" (exactly singular pivot)" if info > 0 else "")
+        )
+    return out
+
+
+def _capacitance_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(S, b)
+    except np.linalg.LinAlgError as err:
+        raise SolverError(f"singular Woodbury capacitance matrix: {err}") from err
 
 
 class _Stepper:
@@ -289,9 +225,12 @@ class _Stepper:
     C is a tridiagonal core with identity constraint rows plus the low-rank
     term U V^T.  With mu*P_N present, U holds W with its boundary rows zeroed
     and V holds dt/2 mu dx W; under feedback, U gains e_L and V gains -gain,
-    so the last row reads u_L - g(u).  Every step, linear or Newton, goes
-    through ``solve``: one banded solve on [rhs, U] and a k x k capacitance
-    correction (Woodbury identity), k <= N + 1, in O(nx*N).
+    so the last row reads u_L - g(u).  ``solve`` applies the Woodbury identity,
+    k = rank(U) <= N + 1.  The core is factored once (gttrf) and
+    ZS = C_core^{-1} U (I + V^T C_core^{-1} U)^{-1} is formed once, so a linear
+    step is one gttrs plus ZS (V^T y).  A Newton shift changes the core, so
+    each iteration is one gtsv on the Fortran-ordered block [rhs, U] and a
+    k x k capacitance solve.
     """
 
     def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix],
@@ -304,7 +243,6 @@ class _Stepper:
         diag[0] = diag[-1] = 1.0
         sub[-1] = sup[0] = 0.0
         self.tri = Tridiagonal(sub=sub, diag=diag, sup=sup)
-        self.ab = self.tri.banded()
         U, V = [], []
         if config.dynamics in ("paper_faithful", "target") and config.mu != 0.0:
             W = P.basis.W
@@ -317,6 +255,14 @@ class _Stepper:
             V.append(-gain[:, None])
         self.U = np.hstack(U) if U else None
         self.V = np.hstack(V) if V else None
+        self.lu = _lapack(dgttrf, sub, diag, sup)
+        self.ZS = None
+        if self.U is not None:
+            (Z,) = _lapack(dgttrs, *self.lu, self.U)
+            S = np.eye(Z.shape[1]) + self.V.T @ Z
+            self.ZS = _capacitance_solve(S.T, Z.T).T
+        # gtsv's right-hand sides [rhs, U] in Fortran order; column 0 takes each rhs
+        self.block = np.asfortranarray(np.column_stack([np.zeros(grid.nx), *U]))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.tri.matvec(v)
@@ -326,18 +272,22 @@ class _Stepper:
 
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve (C + diag(shift)) x = rhs; the constraint rows ignore shift."""
-        ab = self.ab
-        if shift is not None:
-            ab = ab.copy()
-            ab[1, 1:-1] += shift[1:-1]
+        if shift is None:
+            (y,) = _lapack(dgttrs, *self.lu, rhs)
+            if self.ZS is not None:
+                y -= self.ZS @ (self.V.T @ y)
+            return y
+        d = self.tri.diag.copy()
+        d[1:-1] += shift[1:-1]
+        X = self.block.copy(order="F")
+        X[:, 0] = rhs
+        *_, X = _lapack(dgtsv, self.tri.sub, d, self.tri.sup, X, overwrite_d=1, overwrite_b=1)
+        y = X[:, 0]
         if self.U is None:
-            return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-        Y = scipy.linalg.solve_banded(
-            (1, 1), ab, np.column_stack([rhs, self.U]), check_finite=False
-        )
-        y, YU = Y[:, 0], Y[:, 1:]
+            return y
+        YU = X[:, 1:]
         S = np.eye(YU.shape[1]) + self.V.T @ YU
-        return y - YU @ np.linalg.solve(S, self.V.T @ y)
+        return y - YU @ _capacitance_solve(S, self.V.T @ y)
 
 
 def _package(grid, times, states, iters, gain) -> Trajectory:
@@ -402,7 +352,7 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
             except SolverError as err:
                 err.partial = _package(grid, times[: n + 1], states[: n + 1], iters[: n + 1], gain)
                 raise
-            u[0] = 0.0  # the pivoted banded solve leaves rounding in this row
+            u[0] = 0.0  # the pivoted tridiagonal solve leaves rounding in this row
             states[n + 1] = u
     return _package(grid, times, states, iters, gain)
 
@@ -411,17 +361,19 @@ def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: 
     """Newton iteration for C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows.
 
     The constraint rows u'_0 = 0 and u'_L = g(u') are linear and part of C, so
-    they hold after the first update.
+    they hold after the first update.  Cubes are products, not powers: libm's
+    pow takes a slow path on the tiny values of a decayed state.
     """
     dt = config.dt
-    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * u**3)
+    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * (u * u * u))
     up = u
     history = []
     for p in range(config.newton_max_iter):
-        F = B - stepper.matvec(up) - _interior(0.5 * dt * up**3)
-        du = stepper.solve(F, 1.5 * dt * up**2)
+        up2 = up * up
+        F = B - stepper.matvec(up) - _interior(0.5 * dt * (up2 * up))
+        du = stepper.solve(F, 1.5 * dt * up2)
         up = up + du
-        delta = float(np.max(np.abs(du)))
+        delta = float(np.abs(du).max())
         if not math.isfinite(delta):
             raise NonFiniteStateError(n)
         history.append(delta)

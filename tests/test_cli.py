@@ -267,6 +267,11 @@ class TestExitCodes:
         assert main(["simulate", "--nx", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_larger_than_memory_exit_2(self, capsys):
+        # refused by SimulationConfig.validate before any array is allocated
+        assert main(["simulate", "--nx", "10000000", "--nt", "10000000"]) == 2
+        assert "physical memory" in capsys.readouterr().err
+
     def test_non_finite_parameter(self, capsys):
         assert main(["simulate", "--nu", "nan", "--nx", "40", "--nt", "10"]) == 2
         assert "nu must be finite" in capsys.readouterr().err

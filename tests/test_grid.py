@@ -83,9 +83,10 @@ def test_tridiagonal_dense_matvec_banded_agree():
     v = rng.standard_normal(n)
     dense = tri.to_dense()
     assert np.allclose(tri.matvec(v), dense @ v, atol=1e-13)
-    import scipy.linalg
+    from scipy.linalg.lapack import dgtsv
 
-    x = scipy.linalg.solve_banded((1, 1), tri.banded(), v)
+    *_, x, info = dgtsv(tri.sub, tri.diag, tri.sup, v)
+    assert info == 0
     assert np.allclose(dense @ x, v, atol=1e-10)
 
 
@@ -129,3 +130,13 @@ def test_norms_of_a_stack_are_row_norms():
             norm(stack[:, :-1], g)
         with pytest.raises(DimensionError):
             norm(stack[None], g)
+
+
+def test_h1_norm_row_blocks_match_whole_stack(monkeypatch):
+    # 7-row blocks over 23 rows: two full blocks, then a ragged one
+    g = r.make_grid(1.0, 30)
+    stack = np.random.default_rng(4).standard_normal((23, g.nx))
+    monkeypatch.setattr(r.grid, "BLOCK_ENTRIES", 7 * g.nx)
+    diff = np.diff(stack, axis=-1)
+    whole = np.sqrt(r.l2_norm(stack, g) ** 2 + np.einsum("ij,ij->i", diff, diff) / g.dx)
+    assert np.array_equal(r.h1_norm(stack, g), whole)

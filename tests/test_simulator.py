@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdstab as r
 import rdstab.simulator
@@ -12,6 +14,7 @@ from rdstab.errors import (
     NonFiniteStateError,
     SolverError,
 )
+from oracles import assemble_A, step_linear, step_nonlinear
 
 
 def cfg(**kw):
@@ -55,6 +58,22 @@ class TestConfig:
 
     def test_accepts_defaults(self):
         r.SimulationConfig(nu=1.0, alpha=12.0, mu=6.0).validate()
+
+    @pytest.mark.parametrize("control", ["off", "feedback"])
+    def test_refuses_run_larger_than_memory(self, control):
+        # 8 * 1e14 bytes of states; validation refuses before anything is allocated
+        c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics="plant", control=control)
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            c.validate()
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            r.run_simulation(c)
+
+    def test_memory_check_skipped_without_sysconf(self, monkeypatch):
+        def unsupported(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(rdstab.simulator.os, "sysconf", unsupported)
+        cfg(nx=10**7, nt=10**7).validate()
 
 
 class TestInitialState:
@@ -104,7 +123,7 @@ def discrete_eigenvalue(j, grid):
 class TestAssembleA:
     def test_plant_eigenstructure(self):
         g = r.make_grid(1.0, 80)
-        A = r.assemble_A(2.0, 5.0, 0.0, g, None, "plant")
+        A = assemble_A(2.0, 5.0, 0.0, g, None, "plant")
         e2 = r.modal_basis(g, 2).mode(2)
         want = (2.0 * discrete_eigenvalue(2, g) - 5.0) * e2
         assert np.max(np.abs((A @ e2)[1:-1] - want[1:-1])) < 1e-10
@@ -112,7 +131,7 @@ class TestAssembleA:
     def test_projected_shift_on_low_modes_only(self):
         g = r.make_grid(1.0, 80)
         P = r.projection_matrix(r.modal_basis(g, 1))
-        A = r.assemble_A(1.0, 12.0, 6.0, g, P, "paper_faithful")
+        A = assemble_A(1.0, 12.0, 6.0, g, P, "paper_faithful")
         basis2 = r.modal_basis(g, 2)
         e1, e2 = basis2.mode(1), basis2.mode(2)
         lam1h = discrete_eigenvalue(1, g)
@@ -122,7 +141,7 @@ class TestAssembleA:
 
     def test_boundary_rows_identity(self):
         g = r.make_grid(1.0, 40)
-        A = r.assemble_A(1.0, 3.0, 0.0, g, None, "plant")
+        A = assemble_A(1.0, 3.0, 0.0, g, None, "plant")
         eye_row = np.zeros(40)
         eye_row[0] = 1.0
         assert np.array_equal(A[0], eye_row)
@@ -131,32 +150,32 @@ class TestAssembleA:
     def test_mu_zero_modes_coincide(self):
         g = r.make_grid(1.0, 40)
         P = r.projection_matrix(r.modal_basis(g, 1))
-        A1 = r.assemble_A(1.0, 3.0, 0.0, g, P, "paper_faithful")
-        A2 = r.assemble_A(1.0, 3.0, 0.0, g, None, "plant")
+        A1 = assemble_A(1.0, 3.0, 0.0, g, P, "paper_faithful")
+        A2 = assemble_A(1.0, 3.0, 0.0, g, None, "plant")
         assert np.array_equal(A1, A2)
 
     def test_needs_projection(self):
         g = r.make_grid(1.0, 40)
         with pytest.raises(InvalidParameterError):
-            r.assemble_A(1.0, 3.0, 6.0, g, None, "target")
+            assemble_A(1.0, 3.0, 6.0, g, None, "target")
         P_small = r.projection_matrix(r.modal_basis(r.make_grid(1.0, 30), 1))
         with pytest.raises(DimensionError):
-            r.assemble_A(1.0, 3.0, 6.0, g, P_small, "target")
+            assemble_A(1.0, 3.0, 6.0, g, P_small, "target")
         with pytest.raises(InvalidParameterError):
-            r.assemble_A(1.0, 3.0, 6.0, g, None, "rolled")
+            assemble_A(1.0, 3.0, 6.0, g, None, "rolled")
 
 
 class TestStepLinear:
     def test_zero_fixed_point(self):
         g = r.make_grid(1.0, 30)
-        A = r.assemble_A(1.0, 4.0, 0.0, g, None, "plant")
-        out = r.step_linear(np.zeros(30), A, 0.01, 0.0)
+        A = assemble_A(1.0, 4.0, 0.0, g, None, "plant")
+        out = step_linear(np.zeros(30), A, 0.01, 0.0)
         assert np.all(out == 0.0)
 
     def test_boundary_imposed_exactly(self):
         g = r.make_grid(1.0, 30)
-        A = r.assemble_A(1.0, 0.0, 0.0, g, None, "plant")
-        out = r.step_linear(np.zeros(30), A, 0.05, 0.7)
+        A = assemble_A(1.0, 0.0, 0.0, g, None, "plant")
+        out = step_linear(np.zeros(30), A, 0.05, 0.7)
         assert out[0] == 0.0
         assert out[-1] == 0.7
 
@@ -200,9 +219,9 @@ class TestStepLinear:
                 dynamics=dynamics, control="feedback", u0="exp1")
         traj = r.run_simulation(c)
         if dynamics == "plant":
-            A = r.assemble_A(1.0, 12.0, 0.0, grid200, None, "plant")
+            A = assemble_A(1.0, 12.0, 0.0, grid200, None, "plant")
         else:
-            A = r.assemble_A(1.0, 12.0, 6.0, grid200, exp1_tset.P, "paper_faithful")
+            A = assemble_A(1.0, 12.0, 6.0, grid200, exp1_tset.P, "paper_faithful")
         gain = r.feedback_gain(exp1_kernel, exp1_tset)
         # dense implicit closed loop: the last row is the boundary law u_L - g(u) = 0
         n = grid200.nx
@@ -229,11 +248,11 @@ def _mask(nx):
 class TestStepNonlinear:
     def setup_method(self):
         self.g = r.make_grid(1.0, 60)
-        self.A = r.assemble_A(1.0, 0.0, 0.0, self.g, None, "plant")
+        self.A = assemble_A(1.0, 0.0, 0.0, self.g, None, "plant")
         self.dt = 0.01
 
     def test_zero_state_one_iteration(self):
-        out, iters = r.step_nonlinear(
+        out, iters = step_nonlinear(
             np.zeros(60), self.A, self.dt, None, None, "off"
         )
         assert np.all(out == 0.0)
@@ -241,35 +260,130 @@ class TestStepNonlinear:
 
     def test_small_amplitude_matches_linear(self):
         u0 = 1e-4 * math.sqrt(2.0) * np.sin(np.pi * self.g.nodes)
-        lin = r.step_linear(u0, self.A, self.dt, 0.0)
-        nl, iters = r.step_nonlinear(u0, self.A, self.dt, None, None, "off")
+        lin = step_linear(u0, self.A, self.dt, 0.0)
+        nl, iters = step_nonlinear(u0, self.A, self.dt, None, None, "off")
         assert np.max(np.abs(nl - lin)) < 1e-12
         assert iters <= 3
 
     def test_cubic_term_damps(self):
         u0 = 2.0 * np.sin(np.pi * self.g.nodes)
-        lin = r.step_linear(u0, self.A, self.dt, 0.0)
-        nl, _ = r.step_nonlinear(u0, self.A, self.dt, None, None, "off")
+        lin = step_linear(u0, self.A, self.dt, 0.0)
+        nl, _ = step_nonlinear(u0, self.A, self.dt, None, None, "off")
         assert r.l2_norm(nl, self.g) < r.l2_norm(lin, self.g)
 
     def test_quadratic_convergence_budget(self):
         u0 = 0.1 * np.sin(np.pi * self.g.nodes)
-        _, iters = r.step_nonlinear(u0, self.A, self.dt, None, None, "off")
+        _, iters = step_nonlinear(u0, self.A, self.dt, None, None, "off")
         assert iters <= 5
 
     def test_budget_exhaustion(self):
         u0 = 2.0 * np.sin(np.pi * self.g.nodes)
         with pytest.raises(NewtonDivergenceError) as exc:
-            r.step_nonlinear(u0, self.A, self.dt, None, None, "off", newton_max_iter=1)
+            step_nonlinear(u0, self.A, self.dt, None, None, "off", newton_max_iter=1)
         assert len(exc.value.history) == 1
 
     def test_feedback_requires_operators(self):
         with pytest.raises(InvalidParameterError):
-            r.step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "feedback")
+            step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "feedback")
         with pytest.raises(InvalidParameterError):
-            r.step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "sliding")
+            step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "sliding")
         with pytest.raises(DimensionError):
-            r.step_nonlinear(np.zeros(59), self.A, self.dt, None, None, "off")
+            step_nonlinear(np.zeros(59), self.A, self.dt, None, None, "off")
+
+
+def _stepper_case(dynamics, control, nx=50, mu=15.0, n_modes=2):
+    c = cfg(nu=1.0, alpha=15.0, mu=mu, n_modes=n_modes, nx=nx, nt=40, tmax=0.5,
+            dynamics=dynamics, control=control)
+    g = r.make_grid(1.0, nx)
+    P = r.projection_matrix(r.modal_basis(g, n_modes)) if dynamics != "plant" else None
+    gain = rdstab.simulator._feedback_row(c, g) if control == "feedback" else None
+    return c, g, P, gain
+
+
+class TestStepper:
+    # (dynamics, control) -> rank k of the low-rank term at N = 2
+    CASES = [("plant", "off", 0), ("plant", "feedback", 1),
+             ("target", "off", 2), ("paper_faithful", "feedback", 3)]
+
+    @pytest.mark.parametrize("dynamics, control, k", CASES)
+    def test_solve_matches_dense(self, dynamics, control, k):
+        c, g, P, gain = _stepper_case(dynamics, control)
+        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        assert (0 if stepper.U is None else stepper.U.shape[1]) == k
+        # the closed-loop operator assembled densely from the reference A
+        C = np.eye(g.nx) + 0.5 * c.dt * assemble_A(c.nu, c.alpha, c.mu, g, P, dynamics)
+        C[0] = np.eye(g.nx)[0]
+        C[-1] = np.eye(g.nx)[-1] - (gain if gain is not None else 0.0)
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            rhs = rng.standard_normal(g.nx)
+            shift = rng.uniform(0.0, 10.0, g.nx)
+            C_shift = C + np.diag(np.r_[0.0, shift[1:-1], 0.0])
+            for x, want in ((stepper.solve(rhs), np.linalg.solve(C, rhs)),
+                            (stepper.solve(rhs, shift), np.linalg.solve(C_shift, rhs))):
+                assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        v = rng.standard_normal(g.nx)
+        assert np.max(np.abs(stepper.matvec(v) - C @ v)) <= 1e-12 * np.max(np.abs(C @ v))
+
+    def test_solve_leaves_rhs_and_operator_alone(self):
+        c, g, P, gain = _stepper_case("paper_faithful", "feedback")
+        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        rhs, shift = np.ones(g.nx), np.full(g.nx, 2.0)
+        first = stepper.solve(rhs, shift), stepper.solve(rhs)
+        assert np.all(rhs == 1.0) and np.all(shift == 2.0)
+        assert np.array_equal(stepper.block[:, 1:], stepper.U)
+        assert np.array_equal(first[0], stepper.solve(rhs, shift))
+        assert np.array_equal(first[1], stepper.solve(rhs))
+
+    def test_singular_closed_loop_raises_solver_error(self):
+        # the gain e_L turns the boundary row into u_L - u_L = 0
+        c, g, _, _ = _stepper_case("plant", "feedback")
+        e_L = np.zeros(g.nx)
+        e_L[-1] = 1.0
+        with pytest.raises(SolverError, match="capacitance"):
+            rdstab.simulator._Stepper(c, g, None, e_L)
+
+    def test_factor_info_raises_solver_error(self, monkeypatch):
+        _fail_lapack(monkeypatch, "dgttrf", after=0)
+        with pytest.raises(SolverError, match="dgttrf returned info = 1") as exc:
+            r.run_simulation(cfg(alpha=12.0, mu=6.0, dynamics="paper_faithful"))
+        # the core is factored at set-up, before the march has a level to report
+        assert not hasattr(exc.value, "partial")
+
+    @pytest.mark.parametrize("routine, model", [("dgttrs", "linear"), ("dgtsv", "nonlinear")])
+    def test_march_info_raises_solver_error_with_partial(self, monkeypatch, routine, model):
+        c = cfg(model=model, alpha=12.0, mu=6.0, dynamics="paper_faithful", control="feedback")
+        clean = r.run_simulation(c)
+        # dgttrs runs once at set-up (C^{-1} U), then once per step; dgtsv once per Newton iteration
+        if model == "linear":
+            good_calls = 1 + 2
+        else:
+            good_calls = int(clean.newton_iters[1:3].sum())
+        _fail_lapack(monkeypatch, routine, after=good_calls)
+        with pytest.raises(SolverError, match=f"{routine} returned info = 1") as exc:
+            r.run_simulation(c)
+        # steps 0 and 1 completed, step 2 failed
+        assert exc.value.partial.nt == 3
+        assert np.array_equal(exc.value.partial.states, clean.states[:3])
+
+    def test_lapack_info_exits_4(self, monkeypatch, capsys):
+        _fail_lapack(monkeypatch, "dgttrs", after=0)
+        assert r.cli.main(["simulate", "--nx", "40", "--nt", "10"]) == 4
+        assert "dgttrs returned info = 1" in capsys.readouterr().err
+
+
+def _fail_lapack(monkeypatch, routine, after):
+    """Make ``rdstab.simulator.<routine>`` report info = 1 from call ``after + 1`` on."""
+    real = getattr(rdstab.simulator, routine)
+    calls = []
+
+    def failing(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(routine)
+        return out if len(calls) <= after else (*out[:-1], 1)
+
+    failing.__name__ = routine
+    monkeypatch.setattr(rdstab.simulator, routine, failing)
 
 
 class TestRunSimulation:
@@ -362,10 +476,10 @@ class TestRunSimulation:
                     nx=100, nt=150, tmax=1.0, u0="exp2")
             traj = r.run_simulation(c)
             mu_A, P = (15.0, tset.P) if dynamics == "paper_faithful" else (0.0, None)
-            A = r.assemble_A(1.0, 15.0, mu_A, g, P, dynamics)
+            A = assemble_A(1.0, 15.0, mu_A, g, P, dynamics)
             u = r.initial_state(c, g)
             for n in range(c.nt - 1):
-                u, _ = r.step_nonlinear(u, A, c.dt, tset, kern, "feedback")
+                u, _ = step_nonlinear(u, A, c.dt, tset, kern, "feedback")
                 assert np.max(np.abs(u - traj.states[n + 1])) < 1e-9
 
     def test_manufactured_steady_state(self):
@@ -401,6 +515,55 @@ class TestRunSimulation:
         assert err.partial.nt == err.step + 1
         assert (err.step > 0) == (model == "linear")
         assert np.all(np.isfinite(err.partial.states))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu=st.floats(1.0, 25.0),
+    n_modes=st.integers(1, 3),
+    dynamics=st.sampled_from(["paper_faithful", "plant"]),
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+    a=st.floats(-3.0, 3.0),
+    b=st.floats(-3.0, 3.0),
+)
+def test_feedback_is_linear(mu, n_modes, dynamics, coeffs, a, b):
+    # every (mu, N) here is admissible; the linear closed loop maps u0 to states
+    # linearly, so g of the combined run's states is the combination of controls
+    c = cfg(alpha=12.0, mu=mu, n_modes=n_modes, nx=40, nt=15, tmax=0.3,
+            dynamics=dynamics, control="feedback")
+    u1 = {"sine_coeffs": coeffs[:3]}
+    u2 = {"sine_coeffs": coeffs[3:], "poly_coeffs": [0.0, 1.0, -1.0]}
+    g = r.make_grid(1.0, c.nx)
+    t1 = r.run_simulation(replace(c, u0=u1))
+    t2 = r.run_simulation(replace(c, u0=u2))
+    combo = a * r.initial_state(replace(c, u0=u1), g) + b * r.initial_state(replace(c, u0=u2), g)
+    t3 = r.run_simulation(replace(c, u0=combo))
+    scale = max(1.0, np.max(np.abs(a * t1.controls)), np.max(np.abs(b * t2.controls)))
+    assert np.max(np.abs(t3.controls - (a * t1.controls + b * t2.controls))) <= 1e-11 * scale
+    gain = rdstab.simulator._feedback_row(c, g)
+    assert np.array_equal(t3.controls, t3.states @ gain)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    model=st.sampled_from(["linear", "nonlinear"]),
+    dynamics=st.sampled_from(["paper_faithful", "plant", "target"]),
+    feedback=st.booleans(),
+    alpha=st.floats(0.0, 15.0),
+    mu=st.floats(1.0, 25.0),
+    n_modes=st.integers(1, 3),
+    nx=st.integers(20, 60),
+    nt=st.integers(3, 20),
+    amp=st.floats(-2.0, 2.0),
+)
+def test_runs_are_deterministic(model, dynamics, feedback, alpha, mu, n_modes, nx, nt, amp):
+    control = "feedback" if feedback and dynamics != "target" else "off"
+    c = cfg(model=model, dynamics=dynamics, control=control, alpha=alpha, mu=mu,
+            n_modes=n_modes, nx=nx, nt=nt, u0={"sine_coeffs": [amp, 0.5]})
+    t1, t2 = r.run_simulation(c), r.run_simulation(c)
+    assert np.array_equal(t1.states, t2.states)
+    assert np.array_equal(t1.newton_iters, t2.newton_iters)
+    assert np.array_equal(t1.controls, t2.controls)
 
 
 class TestTargetConsistency:
