@@ -16,9 +16,9 @@ command reproduces them bit-identically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -73,7 +73,7 @@ _FMT = "%.17g"
 CLI_DEFAULTS = dict(nu=1.0, alpha=12.0, mu=6.0, modes=1, length=1.0, nx=200)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponential fit of a norm history over a time window."""
 
@@ -83,12 +83,7 @@ class DecayFit:
     window: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-        }
+        return dataclasses.asdict(self)
 
 
 def fit_decay_rate(
@@ -225,18 +220,10 @@ def export(
 
 
 def _config_dict(config: SimulationConfig) -> dict:
-    d = {}
-    for name in (
-        "nu", "alpha", "mu", "n_modes", "length", "nx", "nt", "tmax",
-        "model", "dynamics", "control", "newton_tol", "newton_max_iter",
-    ):
-        d[name] = getattr(config, name)
-    u0 = config.u0
-    if isinstance(u0, str):
-        d["u0"] = u0
-    elif isinstance(u0, dict):
-        d["u0"] = u0
-    else:
+    """Every config field but ``forcing``; u0 samples or callables become "<samples>"."""
+    d = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    del d["forcing"]
+    if not isinstance(d["u0"], (str, dict)):
         d["u0"] = "<samples>"
     return d
 

@@ -35,6 +35,10 @@ MAX_MODE_FRACTION = 0.25
 # parametric in this constant; 1.0 is a placeholder, not a sharp value.
 GN_CONSTANT_DEFAULT = 1.0
 
+# Margin d in (0, 1) by which the designed smallness bound stays inside the
+# domain-of-attraction radius.
+SMALLNESS_MARGIN = 0.9
+
 # Mode-count search cap for rapid-stabilization design.
 MODE_SEARCH_CAP = 10**6
 

@@ -2,9 +2,14 @@
 
 Closed-form pieces: the rapid decay rate gamma, the minimal-mode rate rho,
 the mode-count condition, the minimal-mode mu-interval, the nonlinear
-smallness threshold, and the Bernoulli decay envelope.  ``design_rapid``
-and ``design_minimal`` wrap these into a searched, admissibility-checked
-DesignReport.
+smallness threshold, and the Bernoulli decay envelope.
+
+``design_fixed``, ``design_rapid`` and ``design_minimal`` only differ in the
+(mu, N) candidates they propose.  One search builds each candidate's
+transform in turn and reports the first admissible one, with the smallness
+bound at margin SMALLNESS_MARGIN and constant GN_CONSTANT_DEFAULT if asked.
+The kernel is tabulated to DEFAULT_KERNEL_TOL and a pair is admissible when
+every |1 + a_j| exceeds ADMISSIBILITY_FLOOR; these tolerances are fixed.
 
 The feedback value applied at the right boundary is
 
@@ -16,12 +21,12 @@ evaluated with the same trapezoidal quadrature as everything else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .constants import ADMISSIBILITY_FLOOR, DEFAULT_KERNEL_TOL, GN_CONSTANT_DEFAULT, MODE_SEARCH_CAP
+from .constants import GN_CONSTANT_DEFAULT, MODE_SEARCH_CAP, SMALLNESS_MARGIN
 from .errors import (
     DegenerateSpectrumError,
     DimensionError,
@@ -45,7 +50,6 @@ __all__ = [
     "smallness_threshold",
     "c1_constant",
     "bernoulli_envelope",
-    "feedback_control",
     "feedback_gain",
     "design_fixed",
     "design_rapid",
@@ -236,16 +240,6 @@ def bernoulli_envelope(a: float, b: float, d: float, y0: float, t):
     return admissible, bound
 
 
-def feedback_control(u: np.ndarray, kernel: Kernel, tset: TransformSet) -> float:
-    """Boundary feedback g(u): quadrature of k(L, y) against P_N (I - Phi_N) u.
-
-    Builds the gain row in O(nx N) and applies it.  Raises DimensionError
-    (through ``feedback_gain``) when the kernel and transform grids differ.
-    """
-    u = tset.grid.check_vector(u)
-    return float(feedback_gain(kernel, tset) @ u)
-
-
 def feedback_gain(kernel: Kernel, tset: TransformSet) -> np.ndarray:
     """Row vector r with g(u) = r @ u, precomputed for time stepping.
 
@@ -290,38 +284,7 @@ class DesignReport:
     smallness_bound: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "n_modes": self.n_modes,
-            "length": self.length,
-            "lambda1": self.lambda1,
-            "gamma": self.gamma,
-            "rho": self.rho,
-            "n_min_rapid": self.n_min_rapid,
-            "instability_level": self.instability_level,
-            "mu_interval": list(self.mu_interval) if self.mu_interval else None,
-            "admissibility": list(self.admissibility),
-            "decaying": self.decaying,
-            "scheme": self.scheme,
-            "smallness_eps": self.smallness_eps,
-            "smallness_bound": self.smallness_bound,
-        }
-
-
-def _verified_transform(
-    nu: float,
-    length: float,
-    mu: float,
-    n_modes: int,
-    nx: int,
-    tol: float,
-    floor: float,
-) -> TransformSet:
-    g = make_grid(length, nx)
-    kern = kernel_table(g, mu, nu, tol)
-    return build_transform(kern, n_modes, floor)
+        return asdict(self)
 
 
 def _report(
@@ -363,11 +326,43 @@ def _report(
     )
 
 
-def _smallness_from_tset(nu, alpha, mu, n_modes, length, tset, d, c_star, deriv_order):
-    norms = operator_norms(tset)
-    c1 = c1_constant(norms, c_star)
-    return smallness_threshold(
-        nu, alpha, mu, n_modes, deriv_order, d, norms.c0, c1, norms.c0, length
+def _design(
+    nu: float,
+    alpha: float,
+    length: float,
+    nx: int,
+    candidates: Iterable[tuple[float, int]],
+    scheme: str,
+    smallness: bool,
+    mu_interval=None,
+) -> DesignReport:
+    """Report on the first (mu, N) of ``candidates`` whose transform is admissible.
+
+    All candidates share one grid.  When every one is inadmissible the last
+    InadmissiblePairError is raised.  The smallness pair is left out where
+    ``smallness_threshold`` finds none (gamma <= 0).
+    """
+    g = make_grid(length, nx)
+    last_err = None
+    for mu, n_modes in candidates:
+        try:
+            tset = build_transform(kernel_table(g, mu, nu), n_modes)
+        except InadmissiblePairError as err:
+            last_err = err
+            continue
+        sm = None
+        if smallness:
+            norms = operator_norms(tset)
+            c1 = c1_constant(norms)
+            try:
+                sm = smallness_threshold(
+                    nu, alpha, mu, n_modes, 0, SMALLNESS_MARGIN, norms.c0, c1, norms.c0, length
+                )
+            except InfeasibleRateError:
+                pass
+        return _report(nu, alpha, length, mu, n_modes, tset, scheme, mu_interval, sm)
+    raise last_err if last_err is not None else InfeasibleRateError(
+        f"no {scheme} design candidate to try"
     )
 
 
@@ -378,28 +373,18 @@ def design_fixed(
     n_modes: int,
     length: float = 1.0,
     nx: int = 200,
-    tol: float = DEFAULT_KERNEL_TOL,
-    floor: float = ADMISSIBILITY_FLOOR,
     smallness: bool = False,
-    d: float = 0.9,
-    c_star: float = GN_CONSTANT_DEFAULT,
 ) -> DesignReport:
     """Report for a caller-chosen (mu, N) pair, admissibility verified.
 
     No search: the pair is taken as given (the experiment presets use
-    this).  The smallness bound is attached only when gamma > 0.
+    this), and an inadmissible pair raises InadmissiblePairError.  The
+    smallness bound is attached only when gamma > 0.
     """
     _check_coeffs(nu, alpha, length)
     if n_modes < 1:
         raise InvalidParameterError(f"need at least one mode, got {n_modes}")
-    tset = _verified_transform(nu, length, mu, n_modes, nx, tol, floor)
-    sm = None
-    if smallness:
-        try:
-            sm = _smallness_from_tset(nu, alpha, mu, n_modes, length, tset, d, c_star, 0)
-        except InfeasibleRateError:
-            sm = None
-    return _report(nu, alpha, length, mu, n_modes, tset, "fixed", smallness=sm)
+    return _design(nu, alpha, length, nx, [(mu, n_modes)], "fixed", smallness)
 
 
 def design_rapid(
@@ -408,17 +393,14 @@ def design_rapid(
     length: float,
     rate_target: float,
     nx: int = 200,
-    tol: float = DEFAULT_KERNEL_TOL,
-    floor: float = ADMISSIBILITY_FLOOR,
     smallness: bool = False,
-    d: float = 0.9,
-    c_star: float = GN_CONSTANT_DEFAULT,
 ) -> DesignReport:
     """Search (mu, N) achieving gamma >= rate_target, admissibility verified.
 
     mu starts just above the feasibility threshold and grows geometrically
-    with N = min_modes_rapid(mu) until the rate is met; an inadmissible
-    pair is retried at perturbed mu (up to 5 attempts) before failing.
+    with N = min_modes_rapid(mu) until the rate is met.  The candidates are
+    that mu times each of RETRY_FACTORS that still meets the rate, tried in
+    order until one is admissible.
     """
     _check_coeffs(nu, alpha, length)
     check_scalars(rate=rate_target, positive=("rate",))
@@ -433,26 +415,9 @@ def design_rapid(
         raise InfeasibleRateError(
             f"mu search did not reach gamma >= {rate_target}"
         )
-    last_err = None
-    for factor in RETRY_FACTORS:
-        mu_c = mu * factor
-        n_c = min_modes_rapid(nu, alpha, mu_c, length)
-        if gamma_rate(nu, alpha, mu_c, n_c, length) < rate_target:
-            continue
-        try:
-            tset = _verified_transform(nu, length, mu_c, n_c, nx, tol, floor)
-        except InadmissiblePairError as err:
-            last_err = err
-            continue
-        sm = (
-            _smallness_from_tset(nu, alpha, mu_c, n_c, length, tset, d, c_star, 0)
-            if smallness
-            else None
-        )
-        return _report(nu, alpha, length, mu_c, n_c, tset, "rapid", smallness=sm)
-    raise last_err if last_err is not None else InfeasibleRateError(
-        "no admissible candidate met the target rate"
-    )
+    pairs = ((mu * f, min_modes_rapid(nu, alpha, mu * f, length)) for f in RETRY_FACTORS)
+    candidates = ((m, n) for m, n in pairs if gamma_rate(nu, alpha, m, n, length) >= rate_target)
+    return _design(nu, alpha, length, nx, candidates, "rapid", smallness)
 
 
 def design_minimal(
@@ -460,41 +425,18 @@ def design_minimal(
     alpha: float,
     length: float,
     nx: int = 200,
-    tol: float = DEFAULT_KERNEL_TOL,
-    floor: float = ADMISSIBILITY_FLOOR,
     smallness: bool = False,
-    d: float = 0.9,
-    c_star: float = GN_CONSTANT_DEFAULT,
 ) -> DesignReport:
     """Minimal-mode design: N = instability level, mu at the interval midpoint.
 
-    N = 0 reports a stable plant with no feedback; otherwise the midpoint
-    mu is admissibility-checked with the same perturbation retries, each
-    candidate kept strictly inside the interval.
+    N = 0 reports a stable plant with no feedback; otherwise the candidates
+    are the midpoint times each of RETRY_FACTORS that stays strictly inside
+    the interval, tried in order until one is admissible.
     """
     n, interval, _ = minimal_mode_setup(nu, alpha, length)
     if n == 0:
         return _report(nu, alpha, length, 0.0, 0, None, "stable", mu_interval=interval)
     lo, hi = interval
     mid = 0.5 * (lo + hi)
-    last_err = None
-    for factor in RETRY_FACTORS:
-        mu_c = mid * factor
-        if not (lo < mu_c < hi):
-            continue
-        try:
-            tset = _verified_transform(nu, length, mu_c, n, nx, tol, floor)
-        except InadmissiblePairError as err:
-            last_err = err
-            continue
-        sm = (
-            _smallness_from_tset(nu, alpha, mu_c, n, length, tset, d, c_star, 0)
-            if smallness
-            else None
-        )
-        return _report(
-            nu, alpha, length, mu_c, n, tset, "minimal", mu_interval=interval, smallness=sm
-        )
-    raise last_err if last_err is not None else InfeasibleRateError(
-        "no admissible mu found inside the minimal-mode interval"
-    )
+    candidates = ((mid * f, n) for f in RETRY_FACTORS if lo < mid * f < hi)
+    return _design(nu, alpha, length, nx, candidates, "minimal", smallness, interval)

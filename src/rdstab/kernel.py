@@ -76,16 +76,14 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
     return -(mu * y) / (2.0 * nu) * total
 
 
-def truncate_order(mu: float, nu: float, grid: Grid, tol: float = DEFAULT_KERNEL_TOL) -> int:
-    """Smallest M with max |k^{M+1} - k^M| < tol over all grid pairs.
+def truncate_order(mu: float, nu: float, grid: Grid) -> int:
+    """Smallest M with max |k^{M+1} - k^M| < DEFAULT_KERNEL_TOL over all grid pairs.
 
     The difference k^{M+1} - k^M is the (M+1)-th series term, whose magnitude
     grows with x at fixed y, so the maximum over the triangle is attained on
     the x = L row.  The scan therefore only tracks that row.
     """
     check_scalars(nu=nu, mu=mu, positive=("nu",))
-    if tol <= 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     y = grid.nodes
     prefactor = np.abs(mu) * y / (2.0 * nu)
     z = grid.length**2 - y * y
@@ -95,10 +93,10 @@ def truncate_order(mu: float, nu: float, grid: Grid, tol: float = DEFAULT_KERNEL
     with np.errstate(over="ignore", invalid="ignore"):
         for order in range(KERNEL_MAX_ORDER + 1):
             term = term * q * z / ((order + 1) * (order + 2))
-            if np.max(prefactor * term) < tol:
+            if np.max(prefactor * term) < DEFAULT_KERNEL_TOL:
                 return order
     raise ConvergenceError(
-        f"kernel series did not reach tol={tol:.1e} within {KERNEL_MAX_ORDER} terms"
+        f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} within {KERNEL_MAX_ORDER} terms"
     )
 
 
@@ -114,7 +112,8 @@ class Kernel:
     order : int
         Truncation order M.
     achieved_delta : float
-        max |k^{M+1} - k^M| actually reached over the table.
+        max |k^{M+1} - k^M| actually reached over the table, below
+        DEFAULT_KERNEL_TOL.
     """
 
     values: np.ndarray = field(repr=False)
@@ -123,7 +122,6 @@ class Kernel:
     nu: float
     grid: Grid
     achieved_delta: float
-    tol: float
 
     def value(self, i: int, j: int) -> float:
         """Table entry for node pair (i, j); rejects points above the diagonal."""
@@ -138,15 +136,15 @@ class Kernel:
         return self.values[-1, :].copy()
 
 
-def kernel_table(grid: Grid, mu: float, nu: float, tol: float = DEFAULT_KERNEL_TOL) -> Kernel:
-    """Tabulate the kernel on the grid with the order picked by ``truncate_order``.
+def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
+    """Tabulate the kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL.
 
     Horner's scheme in zeta = (x^2 - y^2) / L^2 runs over the lower triangle
     in row blocks of about BLOCK_ENTRIES entries, so each block stays in
     cache through all its passes.  The achieved gap is the next series term
     on the x = L row, where ``truncate_order`` locates its maximum.
     """
-    order = truncate_order(mu, nu, grid, tol)
+    order = truncate_order(mu, nu, grid)
     L2 = grid.length**2
     q = -mu * L2 / (4.0 * nu)
     coeffs = [1.0]
@@ -176,7 +174,6 @@ def kernel_table(grid: Grid, mu: float, nu: float, tol: float = DEFAULT_KERNEL_T
         nu=float(nu),
         grid=grid,
         achieved_delta=achieved,
-        tol=float(tol),
     )
 
 

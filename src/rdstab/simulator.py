@@ -36,7 +36,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-from .constants import DEFAULT_KERNEL_TOL, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
+from .constants import DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
 from .controller import feedback_gain
 from .errors import (
     InvalidParameterError,
@@ -317,7 +317,7 @@ def run_simulation(config: SimulationConfig) -> Trajectory:
 
 def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
     # a function of its own, so the nx x nx kernel table is freed before the march
-    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
+    kern = kernel_table(grid, config.mu, config.nu)
     return feedback_gain(kern, build_transform(kern, config.n_modes))
 
 
@@ -396,7 +396,7 @@ def run_target_consistency(config: SimulationConfig):
     denom = l2_norm(u0, grid)
     if denom == 0.0:
         raise InvalidParameterError("zero initial state has no relative mismatch")
-    kern = kernel_table(grid, config.mu, config.nu, DEFAULT_KERNEL_TOL)
+    kern = kernel_table(grid, config.mu, config.nu)
     tset = build_transform(kern, config.n_modes)
     traj_u = _march(replace(config, dynamics="plant"), grid, u0, feedback_gain(kern, tset))
     traj_w = _march(replace(config, dynamics="target"), grid, inverse_transform(tset, u0), None)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .constants import ADMISSIBILITY_FLOOR, BLOCK_ENTRIES, DEFAULT_KERNEL_TOL, INVERSE_TOL
+from .constants import ADMISSIBILITY_FLOOR, BLOCK_ENTRIES, INVERSE_TOL
 from .errors import DimensionError, InadmissiblePairError, InvalidParameterError, SolverError
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
@@ -84,8 +84,8 @@ def _upsilon_modes(kernel: Kernel, W: np.ndarray) -> np.ndarray:
 def _phi_recursion(
     UW: np.ndarray,
     basis: ModalBasis,
-    floor: float,
     strict: bool,
+    floor: float = ADMISSIBILITY_FLOOR,
 ):
     """Shared core of the inverse recursion, on the factor X of Phi_j = X (dx W_j^T).
 
@@ -133,7 +133,7 @@ def phi_matrix(
         raise DimensionError(
             f"upsilon shape {upsilon.shape} does not match grid ({g.nx} nodes)"
         )
-    X, scalars, _ = _phi_recursion(upsilon @ basis.W, basis, floor, strict=True)
+    X, scalars, _ = _phi_recursion(upsilon @ basis.W, basis, strict=True, floor=floor)
     return g.dx * (X @ basis.W.T), scalars
 
 
@@ -141,7 +141,6 @@ def phi_apply_recursive(
     upsilon: np.ndarray,
     basis: ModalBasis,
     v: np.ndarray,
-    floor: float = ADMISSIBILITY_FLOOR,
 ) -> np.ndarray:
     """Apply Phi_N to one vector by the bottom-up level scheme.
 
@@ -154,7 +153,8 @@ def phi_apply_recursive(
 
     which are precomputed right-to-left.  One pass per level p = 1..N then
     advances every still-needed quantity from Phi_{p-1} to Phi_p and
-    consumes the e_p chain to form a_p.  Used as a consistency oracle for
+    consumes the e_p chain to form a_p, failing when |1 + a_p| is within
+    ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for
     :func:`phi_matrix`; both paths implement the same recursion.
     """
     g = basis.grid
@@ -195,8 +195,8 @@ def phi_apply_recursive(
         else:
             bb = (upsilon @ ep) - E[p]
         a = float(np.dot(wq * bb, ep))
-        if abs(1.0 + a) <= floor:
-            raise InadmissiblePairError(p, a, floor)
+        if abs(1.0 + a) <= ADMISSIBILITY_FLOOR:
+            raise InadmissiblePairError(p, a, ADMISSIBILITY_FLOOR)
         def advance(raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
             r = raw - prev
             return r - (np.dot(wq * r, ep) / (1.0 + a)) * bb
@@ -258,27 +258,23 @@ def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float
     return float(np.max(peaks))
 
 
-def build_transform(
-    kernel: Kernel,
-    n_modes: int,
-    floor: float = ADMISSIBILITY_FLOOR,
-    inverse_tol: float = INVERSE_TOL,
-) -> TransformSet:
+def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
     """Build the factored transform set from a tabulated kernel in O(nx^2 N).
 
-    Verifies the inverse identity to ``inverse_tol`` in the max norm;
-    failure (or a NaN residual) indicates a near-inadmissible pair or a
-    resolution problem and is reported as a solver error.
+    Raises InadmissiblePairError when some |1 + a_j| <= ADMISSIBILITY_FLOOR.
+    Verifies the inverse identity to INVERSE_TOL in the max norm; failure
+    (or a NaN residual) indicates a near-inadmissible pair or a resolution
+    problem and is reported as a solver error.
     """
     g = kernel.grid
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
     UW = _upsilon_modes(kernel, basis.W)
-    X, scalars, _ = _phi_recursion(UW, basis, floor, strict=True)
+    X, scalars, _ = _phi_recursion(UW, basis, strict=True)
     resid = _inverse_residual(UW, X, basis)
-    if not resid <= inverse_tol:
+    if not resid <= INVERSE_TOL:
         raise SolverError(
-            f"inverse identity residual {resid:.3e} exceeds {inverse_tol:.1e}; "
+            f"inverse identity residual {resid:.3e} exceeds {INVERSE_TOL:.1e}; "
             f"admissibility scalars {scalars}"
         )
     return TransformSet(
@@ -323,13 +319,12 @@ def scan_admissibility(
     mu_range: Sequence[float],
     steps: int,
     nx: int = 200,
-    tol: float = DEFAULT_KERNEL_TOL,
-    floor: float = ADMISSIBILITY_FLOOR,
 ) -> list[ScanRow]:
     """Sweep mu over an interval and record the admissibility scalars.
 
-    Inadmissible samples are reported, never raised; past the first
-    inadmissible scalar the remaining entries of a row are NaN.
+    A sample is inadmissible once some |1 + a_j| <= ADMISSIBILITY_FLOOR.
+    Such samples are reported, never raised; past the first inadmissible
+    scalar the remaining entries of a row are NaN.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if steps < 2:
@@ -340,8 +335,8 @@ def scan_admissibility(
     basis = modal_basis(g, n_modes)
     rows = []
     for mu in np.linspace(lo, hi, steps):
-        kern = kernel_table(g, float(mu), nu, tol)
-        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, basis.W), basis, floor, strict=False)
+        kern = kernel_table(g, float(mu), nu)
+        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, basis.W), basis, strict=False)
         rows.append(ScanRow(mu=float(mu), scalars=tuple(scalars), admissible=ok))
     return rows
 

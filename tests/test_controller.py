@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import rdstab as r
+import rdstab.controller as ctl
+from rdstab.cli import main
+from rdstab.constants import ADMISSIBILITY_FLOOR
 from rdstab.errors import (
     DegenerateSpectrumError,
     DimensionError,
+    InadmissiblePairError,
     InfeasibleRateError,
     InvalidParameterError,
 )
@@ -208,23 +212,21 @@ class TestBernoulliEnvelope:
 class TestFeedback:
     def test_zero_state(self, exp1_kernel, exp1_tset):
         z = np.zeros(exp1_tset.grid.nx)
-        assert r.feedback_control(z, exp1_kernel, exp1_tset) == 0.0
+        assert r.feedback_gain(exp1_kernel, exp1_tset) @ z == 0.0
 
     def test_linearity(self, exp1_kernel, exp1_tset):
         rng = np.random.default_rng(7)
         u = rng.standard_normal(exp1_tset.grid.nx)
         v = rng.standard_normal(exp1_tset.grid.nx)
-        lhs = r.feedback_control(2.5 * u - 0.5 * v, exp1_kernel, exp1_tset)
-        rhs = 2.5 * r.feedback_control(u, exp1_kernel, exp1_tset) - 0.5 * r.feedback_control(
-            v, exp1_kernel, exp1_tset
-        )
+        gain = r.feedback_gain(exp1_kernel, exp1_tset)
+        lhs = gain @ (2.5 * u - 0.5 * v)
+        rhs = 2.5 * (gain @ u) - 0.5 * (gain @ v)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_vanishes_outside_projected_modes(self, exp1_kernel, exp1_tset):
         # N = 1 here, so the second mode draws no feedback
-        e2 = exp1_tset.basis.mode(2) if exp1_tset.basis.n_modes >= 2 else None
         basis2 = r.modal_basis(exp1_tset.grid, 2)
-        g = r.feedback_control(basis2.mode(2), exp1_kernel, exp1_tset)
+        g = r.feedback_gain(exp1_kernel, exp1_tset) @ basis2.mode(2)
         assert abs(g) < 1e-10
 
     def test_gain_row_matches_direct(self, exp2_kernel, exp2_tset):
@@ -238,12 +240,9 @@ class TestFeedback:
             u = rng.standard_normal(exp2_tset.grid.nx)
             direct = float(np.dot(lead, exp2_tset.P.apply(u - exp2_tset.phi @ u)))
             assert float(gain @ u) == pytest.approx(direct, abs=1e-10)
-            assert r.feedback_control(u, exp2_kernel, exp2_tset) == float(gain @ u)
 
     def test_grid_mismatch(self, exp1_tset):
         other = r.kernel_table(r.make_grid(1.0, 100), 0.0, 1.0)
-        with pytest.raises(DimensionError):
-            r.feedback_control(np.zeros(exp1_tset.grid.nx), other, exp1_tset)
         with pytest.raises(DimensionError):
             r.feedback_gain(other, exp1_tset)
 
@@ -307,3 +306,101 @@ class TestDesignReports:
         assert rep.mu == 0.0
         assert rep.admissibility == ()
         assert rep.decaying
+
+
+def _fail_first(monkeypatch, k):
+    """Make the design layer's first k transform builds inadmissible.
+
+    Returns the list of mu values tried.  The error of attempt i carries
+    index i, so a propagated error names the attempt it came from.
+    """
+    real = ctl.build_transform
+    tried = []
+
+    def fake(kern, n_modes):
+        tried.append(kern.mu)
+        if len(tried) <= k:
+            raise InadmissiblePairError(len(tried), -1.0, ADMISSIBILITY_FLOOR)
+        return real(kern, n_modes)
+
+    monkeypatch.setattr(ctl, "build_transform", fake)
+    return tried
+
+
+class TestDesignRetries:
+    """An inadmissible candidate moves the search to the next RETRY_FACTORS one."""
+
+    NX = 60
+
+    @staticmethod
+    def _rapid_candidates(alpha, rate, base):
+        mus = [base * f for f in ctl.RETRY_FACTORS]
+        return [
+            mu for mu in mus
+            if r.gamma_rate(1.0, alpha, mu, r.min_modes_rapid(1.0, alpha, mu)) >= rate
+        ]
+
+    @staticmethod
+    def _minimal_candidates(interval):
+        lo, hi = interval
+        mid = 0.5 * (lo + hi)
+        return [mid * f for f in ctl.RETRY_FACTORS if lo < mid * f < hi]
+
+    # at rate 30 the 0.95 and 0.90 perturbations miss the rate and are skipped
+    @pytest.mark.parametrize("rate", [2.0, 30.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rapid_takes_next_candidate(self, monkeypatch, rate, k):
+        base = r.design_rapid(1.0, 12.0, 1.0, rate, nx=self.NX).mu
+        cands = self._rapid_candidates(12.0, rate, base)
+        tried = _fail_first(monkeypatch, k)
+        rep = r.design_rapid(1.0, 12.0, 1.0, rate, nx=self.NX)
+        assert tried == cands[: k + 1]
+        assert rep.mu == cands[k]
+        assert rep.n_modes == r.min_modes_rapid(1.0, 12.0, rep.mu)
+        assert rep.gamma >= rate
+        assert len(rep.admissibility) == rep.n_modes
+
+    # at alpha 35 only the 1.00, 1.05 and 0.95 perturbations stay inside the interval
+    @pytest.mark.parametrize("alpha", [12.0, 35.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_minimal_takes_next_candidate(self, monkeypatch, alpha, k):
+        interval = r.design_minimal(1.0, alpha, 1.0, nx=self.NX).mu_interval
+        cands = self._minimal_candidates(interval)
+        tried = _fail_first(monkeypatch, k)
+        rep = r.design_minimal(1.0, alpha, 1.0, nx=self.NX, smallness=True)
+        assert tried == cands[: k + 1]
+        assert rep.mu == cands[k]
+        assert rep.mu_interval == interval
+        assert rep.scheme == "minimal"
+        assert rep.smallness_bound is not None and rep.smallness_bound > 0
+
+    def test_rapid_all_inadmissible_raises_last(self, monkeypatch):
+        base = r.design_rapid(1.0, 12.0, 1.0, 30.0, nx=self.NX).mu
+        cands = self._rapid_candidates(12.0, 30.0, base)
+        tried = _fail_first(monkeypatch, len(ctl.RETRY_FACTORS))
+        with pytest.raises(InadmissiblePairError) as info:
+            r.design_rapid(1.0, 12.0, 1.0, 30.0, nx=self.NX)
+        assert tried == cands
+        assert info.value.index == len(cands)
+
+    def test_minimal_all_inadmissible_raises_last(self, monkeypatch):
+        interval = r.design_minimal(1.0, 35.0, 1.0, nx=self.NX).mu_interval
+        cands = self._minimal_candidates(interval)
+        tried = _fail_first(monkeypatch, len(ctl.RETRY_FACTORS))
+        with pytest.raises(InadmissiblePairError) as info:
+            r.design_minimal(1.0, 35.0, 1.0, nx=self.NX)
+        assert tried == cands
+        assert info.value.index == len(cands)
+
+    def test_cli_design_all_inadmissible_exit_3(self, monkeypatch, capsys):
+        tried = _fail_first(monkeypatch, len(ctl.RETRY_FACTORS))
+        assert main(["design", "--rate", "2"]) == 3
+        assert len(tried) == len(ctl.RETRY_FACTORS)
+        assert "inadmissible pair" in capsys.readouterr().err
+
+    def test_fixed_raises_on_its_one_pair(self, monkeypatch):
+        tried = _fail_first(monkeypatch, 1)
+        with pytest.raises(InadmissiblePairError) as info:
+            r.design_fixed(1.0, 12.0, 6.0, 1, nx=self.NX, smallness=True)
+        assert tried == [6.0]
+        assert info.value.index == 1

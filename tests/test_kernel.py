@@ -5,6 +5,7 @@ import pytest
 from scipy.special import j1
 
 import rdstab as r
+from rdstab.constants import DEFAULT_KERNEL_TOL
 from rdstab.errors import ConvergenceError, DomainError, DimensionError, InvalidParameterError
 
 
@@ -73,7 +74,7 @@ def test_table_strictly_lower_triangular(exp1_kernel):
 
 
 def test_table_achieved_delta_below_tol(exp1_kernel):
-    assert exp1_kernel.achieved_delta < exp1_kernel.tol
+    assert exp1_kernel.achieved_delta < DEFAULT_KERNEL_TOL
 
 
 def test_value_accessor_guards(exp1_kernel):
@@ -134,7 +135,7 @@ def test_table_matches_series_at_sampled_nodes(mu, nu, length, monkeypatch):
         for y in g.nodes
     )
     assert kern.achieved_delta == pytest.approx(gap, rel=1e-12)
-    assert kern.achieved_delta < kern.tol
+    assert kern.achieved_delta < DEFAULT_KERNEL_TOL
 
 
 def test_non_finite_diffusivity_rejected(grid200):
