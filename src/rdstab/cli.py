@@ -35,7 +35,7 @@ from .errors import (
     SolverError,
 )
 from .grid import make_grid
-from .kernel import kernel_table
+from .kernel import check_table_fits, kernel_table
 from .simulator import SimulationConfig, Trajectory, run_simulation
 from .transform import scan_admissibility, sign_change_brackets
 
@@ -382,6 +382,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
+    if args.out:
+        check_table_fits(args.nx)  # before the grid, so nothing is allocated
     grid = make_grid(args.length, args.nx)
     kern = kernel_table(grid, args.mu, args.nu)
     print(f"series order: {kern.order}  achieved increment: {kern.achieved_delta:.3e}")

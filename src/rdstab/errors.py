@@ -7,6 +7,8 @@ onto process exit codes; see ``rdstab.cli``.
 """
 
 import math
+import os
+from typing import Optional
 
 __all__ = [
     "RdstabError",
@@ -118,3 +120,26 @@ def check_scalars(positive=(), **values: float) -> None:
     for name in positive:
         if values[name] <= 0:
             raise InvalidParameterError(f"{name} must be positive, got {values[name]}")
+
+
+def _physical_memory() -> Optional[int]:
+    """Physical memory in bytes, or None where sysconf does not report it."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
+def check_fits(need: int, what: str) -> None:
+    """Refuse ``need`` bytes above physical memory, before anything is allocated.
+
+    Raises :class:`InvalidParameterError`; the check is skipped where the
+    platform does not report its memory.
+    """
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise InvalidParameterError(
+            f"{what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )

@@ -123,10 +123,14 @@ def h1_norm(values: np.ndarray, grid: Grid):
     values = grid.check_stack(values)
     stack = np.atleast_2d(values)
     semi = np.empty(stack.shape[0])
-    # row blocks, so a stack of levels needs no second stack for its differences
+    # row blocks into one buffer, so a stack of levels needs no second stack
+    # for its differences and no fresh temporary per block
     rows = max(1, BLOCK_ENTRIES // grid.nx)
+    buf = np.empty((min(rows, stack.shape[0]), grid.nx - 1))
     for i in range(0, stack.shape[0], rows):
-        diff = np.diff(stack[i:i + rows], axis=-1)
+        block = stack[i:i + rows]
+        diff = buf[: block.shape[0]]
+        np.subtract(block[:, 1:], block[:, :-1], out=diff)
         semi[i:i + rows] = np.einsum("ij,ij->i", diff, diff)
     out = np.sqrt(l2_norm(values, grid) ** 2 + semi / grid.dx)
     return float(out[0]) if values.ndim == 1 else out

@@ -11,17 +11,22 @@ and has the explicit power series
               * sum_{m >= 0} (-mu / (4 nu))^m (x^2 - y^2)^m / (m! (m+1)!).
 
 ``kernel_series`` sums the series at one point, term by term.
-``kernel_table`` evaluates the same partial sum on the grid's lower
-triangle by Horner's scheme in zeta = (x^2 - y^2) / L^2, which lies in
-[0, 1] there, with coefficients c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The
-c_m are built recursively, since explicit factorials overflow doubles near
-m = 85; because zeta <= 1, a coefficient can only underflow once its term
-is already negligible.
+``kernel_table`` keeps the same partial sum as its coefficients in
+zeta = (x^2 - y^2) / L^2, which lies in [0, 1] on the triangle:
+c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The c_m are built recursively,
+since explicit factorials overflow doubles near m = 85; because zeta <= 1,
+a coefficient can only underflow once its term is already negligible.
+
+The set-up needs the kernel only through Upsilon W and the row k(L, .), so
+``kernel_table`` costs O(nx M) and forms no nx x nx array.  The table
+itself, by Horner's scheme in zeta, is formed only when ``Kernel.values``
+is read (the kernel dump, the PDE residual check and dense reference code).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvalidParameterError,
+    check_fits,
     check_scalars,
 )
 from .grid import Grid
@@ -102,26 +108,66 @@ def truncate_order(mu: float, nu: float, grid: Grid) -> int:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel values tabulated on the lower triangle of the grid.
+    """The truncated kernel series on the grid's lower triangle.
+
+    The kernel is kept as its series coefficients; the set-up reads it only
+    through them (the Volterra moments of ``transform``) and through
+    :meth:`boundary_row`.
 
     Attributes
     ----------
-    values : ndarray
-        N_x x N_x array; entry (i, j) holds k^M(x_i, y_j) for j <= i, and
-        0 above the diagonal.  Use :meth:`value` for guarded access.
+    coeffs : ndarray
+        c_0..c_M, so that k^M(x_i, y_j) = -(mu y_j / (2 nu)) sum_m c_m zeta_ij^m
+        with zeta_ij = (x_i^2 - y_j^2) / L^2.
     order : int
         Truncation order M.
     achieved_delta : float
-        max |k^{M+1} - k^M| actually reached over the table, below
+        max |k^{M+1} - k^M| actually reached over the triangle, below
         DEFAULT_KERNEL_TOL.
     """
 
-    values: np.ndarray = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     order: int
     mu: float
     nu: float
     grid: Grid
     achieved_delta: float
+
+    def _prefactor(self) -> np.ndarray:
+        return -(self.mu * self.grid.nodes) / (2.0 * self.nu)
+
+    def _horner(self, zeta: np.ndarray) -> np.ndarray:
+        """sum_m c_m zeta^m by Horner's scheme, elementwise."""
+        out = np.full_like(zeta, self.coeffs[-1])
+        for c in self.coeffs[-2::-1]:
+            out *= zeta
+            out += c
+        return out
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """N_x x N_x table of k^M(x_i, y_j), 0 above the diagonal; read-only.
+
+        Formed on first access, by Horner's scheme over the lower triangle in
+        row blocks of about BLOCK_ENTRIES entries.  Only the kernel dump, the
+        PDE residual and the dense reference operators read it.  A table
+        larger than physical memory is refused with InvalidParameterError.
+        """
+        g = self.grid
+        check_table_fits(g.nx)
+        y = g.nodes
+        L2 = g.length**2
+        prefactor = self._prefactor()
+        values = np.zeros((g.nx, g.nx))
+        rows = max(1, BLOCK_ENTRIES // g.nx)
+        for start in range(0, g.nx, rows):
+            stop = min(start + rows, g.nx)
+            x = y[start:stop, None]
+            block = self._horner((x - y[:stop]) * (x + y[:stop]) / L2)
+            block *= prefactor[:stop]
+            values[start:stop, :stop] = np.tril(block, start)
+        values.flags.writeable = False
+        return values
 
     def value(self, i: int, j: int) -> float:
         """Table entry for node pair (i, j); rejects points above the diagonal."""
@@ -132,17 +178,29 @@ class Kernel:
         return float(self.values[i, j])
 
     def boundary_row(self) -> np.ndarray:
-        """Kernel trace k(L, y_j) used by the feedback law."""
-        return self.values[-1, :].copy()
+        """Kernel trace k(L, y_j) used by the feedback law, in O(nx M).
+
+        The x = L row of :attr:`values`, computed alone with the same
+        operations, so the two agree bit for bit.
+        """
+        y = self.grid.nodes
+        L = y[-1]
+        row = self._horner((L - y) * (L + y) / self.grid.length**2)
+        row *= self._prefactor()
+        return row
+
+
+def check_table_fits(nx: int) -> None:
+    """Refuse an nx x nx kernel table larger than physical memory (InvalidParameterError)."""
+    check_fits(8 * nx * nx, f"a {nx} x {nx} kernel table")
 
 
 def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
-    """Tabulate the kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL.
+    """The kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL, in O(nx M).
 
-    Horner's scheme in zeta = (x^2 - y^2) / L^2 runs over the lower triangle
-    in row blocks of about BLOCK_ENTRIES entries, so each block stays in
-    cache through all its passes.  The achieved gap is the next series term
-    on the x = L row, where ``truncate_order`` locates its maximum.
+    Forms the coefficients c_0..c_M and the achieved gap, the next series
+    term on the x = L row, where ``truncate_order`` locates its maximum.
+    The nx x nx table is left to :attr:`Kernel.values`.
     """
     order = truncate_order(mu, nu, grid)
     L2 = grid.length**2
@@ -152,23 +210,12 @@ def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
         coeffs.append(coeffs[-1] * q / (m * (m + 1)))
     y = grid.nodes
     prefactor = -(mu * y) / (2.0 * nu)
-    values = np.zeros((grid.nx, grid.nx))
-    rows = max(1, BLOCK_ENTRIES // grid.nx)
-    for start in range(0, grid.nx, rows):
-        stop = min(start + rows, grid.nx)
-        x = y[start:stop, None]
-        zeta = (x - y[:stop]) * (x + y[:stop]) / L2
-        block = np.full_like(zeta, coeffs[order])
-        for c in reversed(coeffs[:order]):
-            block *= zeta
-            block += c
-        block *= prefactor[:stop]
-        values[start:stop, :stop] = np.tril(block, start)
     zeta_top = (L2 - y * y) / L2
     achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
-    values.flags.writeable = False
+    kept = np.array(coeffs[: order + 1])
+    kept.flags.writeable = False
     return Kernel(
-        values=values,
+        coeffs=kept,
         order=order,
         mu=float(mu),
         nu=float(nu),

@@ -29,7 +29,6 @@ it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -43,6 +42,7 @@ from .errors import (
     NewtonDivergenceError,
     NonFiniteStateError,
     SolverError,
+    check_fits,
     check_scalars,
 )
 from .grid import Grid, Tridiagonal, h1_norm, l2_norm, laplacian_matrix, make_grid
@@ -122,23 +122,8 @@ class SimulationConfig:
             raise InvalidParameterError("Newton iteration budget must be at least 1")
         if self.forcing is not None and self.model != "linear":
             raise InvalidParameterError("forcing terms are supported for the linear model only")
-        # states, plus the nx x nx kernel table of the feedback set-up
-        need = 8 * self.nt * self.nx + (8 * self.nx**2 if self.control == "feedback" else 0)
-        have = _physical_memory()
-        if have is not None and need > have:
-            raise InvalidParameterError(
-                f"nx = {self.nx}, nt = {self.nt} needs about {need / 2**30:.3g} GiB, "
-                f"more than the {have / 2**30:.3g} GiB of physical memory"
-            )
-
-
-def _physical_memory() -> Optional[int]:
-    """Physical memory in bytes, or None where sysconf does not report it."""
-    try:
-        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
+        # the states; set-up keeps only nx x N factors
+        check_fits(8 * self.nt * self.nx, f"nx = {self.nx}, nt = {self.nt}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +301,7 @@ def run_simulation(config: SimulationConfig) -> Trajectory:
 
 
 def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
-    # a function of its own, so the nx x nx kernel table is freed before the march
+    # a function of its own, so the set-up's temporaries are freed before the march
     kern = kernel_table(grid, config.mu, config.nu)
     return feedback_gain(kern, build_transform(kern, config.n_modes))
 

@@ -16,9 +16,13 @@ not invertible and construction fails.
 
 P_N = dx W W^T has rank N, so the whole transform is kept as nx x N
 factors: T = I + UW (dx W^T) with UW = Upsilon W, and Phi_j = X_j (dx W_j^T)
-with the recursion run on X alone.  Building, applying and measuring the
-transform costs O(nx^2 N) at most, with no nx x nx temporary; the dense
-matrices exist only as lazily formed views for tests.
+with the recursion run on X alone.  UW comes from the kernel's series
+coefficients and mu-free Volterra moments (``_volterra_moments``), so no
+kernel table is formed: the moments cost O(nx^2 M N) once per grid, mode
+count and order M, and each mu then costs O(nx N M).  An admissibility scan
+forms them once for all its samples.  Building, applying and measuring the
+transform needs no nx x nx temporary; the dense matrices (and the kernel
+table behind ``upsilon_matrix``) exist only as lazily formed views for tests.
 
 Two independent realizations of the recursion are provided: the factored
 one above (``build_transform``, ``phi_matrix``) and a per-vector level
@@ -62,7 +66,8 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
 
     Entry (i, j) is 0 above the diagonal, dx/2 * k(x_i, x_i) on it, and
     dx * k(x_i, x_j) below.  The j = 0 column carries k(x_i, 0) = 0, so the
-    missing end-weight there is immaterial.
+    missing end-weight there is immaterial.  Reads the kernel table, which
+    forms it; production code uses the moments instead.
     """
     g = kernel.grid
     U = g.dx * np.tril(kernel.values)
@@ -70,15 +75,57 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
     return U
 
 
-def _upsilon_modes(kernel: Kernel, W: np.ndarray) -> np.ndarray:
-    """Upsilon W (nx x N) straight from the kernel table, with no nx x nx copy.
+def _volterra_moments(basis: ModalBasis, order: int) -> np.ndarray:
+    """The mu-free moments M_0..M_order of the Volterra operator, shape (order + 1, nx, N).
 
-    The table is zero above the diagonal, so K @ W is the lower-triangular
-    product; the diagonal term is then halved as in :func:`upsilon_matrix`.
+    k(x_i, y_j) = -(mu / (2 nu)) y_j sum_m c_m zeta_ij^m with
+    zeta = (x^2 - y^2) / L^2, so Upsilon W = -(mu / (2 nu)) sum_m c_m M_m with
+
+        M_0 = cumulative trapezoid of y W (half weight on the diagonal),
+        M_m = dx strict_tril(zeta^m) (y W),   m >= 1,
+
+    which depend only on the grid, the modes and m.  The powers of zeta run
+    over the lower triangle in row blocks of about BLOCK_ENTRIES entries,
+    in buffers allocated once.  O(nx^2 M N) work and O(nx M N) memory.
     """
-    K = kernel.values
-    dx = kernel.grid.dx
-    return dx * (K @ W) - (0.5 * dx * np.diag(K))[:, None] * W
+    g = basis.grid
+    y = g.nodes
+    L2 = g.length**2
+    f = g.dx * y[:, None] * basis.W
+    moments = np.empty((order + 1, g.nx, basis.n_modes))
+    moments[0] = np.cumsum(f, axis=0) - 0.5 * f
+    if order == 0:
+        return moments
+    rows = max(1, BLOCK_ENTRIES // g.nx)
+    zeta_buf = np.empty(min(rows, g.nx) * g.nx)
+    power_buf = np.empty_like(zeta_buf)
+    for start in range(0, g.nx, rows):
+        stop = min(start + rows, g.nx)
+        zeta = zeta_buf[: (stop - start) * stop].reshape(stop - start, stop)
+        power = power_buf[: zeta.size].reshape(zeta.shape)
+        x = y[start:stop, None]
+        np.multiply(x - y[:stop], x + y[:stop], out=zeta)
+        zeta /= L2
+        # zeta is 0 on the diagonal and negative above it: strict_tril
+        np.maximum(zeta[:, start:], 0.0, out=zeta[:, start:])
+        np.copyto(power, zeta)
+        for m in range(1, order + 1):
+            if m > 1:
+                power *= zeta
+            np.matmul(power, f[:stop], out=moments[m, start:stop])
+    return moments
+
+
+def _upsilon_modes(kernel: Kernel, moments: np.ndarray) -> np.ndarray:
+    """Upsilon W = -(mu / (2 nu)) sum_m c_m M_m from the moments, in O(nx N M).
+
+    ``moments`` may run past the kernel's order; the extra ones are unused.
+    """
+    UW = kernel.coeffs[0] * moments[0]
+    for c, moment in zip(kernel.coeffs[1:], moments[1:]):
+        UW += c * moment
+    UW *= -kernel.mu / (2.0 * kernel.nu)
+    return UW
 
 
 def _phi_recursion(
@@ -214,7 +261,8 @@ class TransformSet:
     ``admissibility`` holds the recursion scalars a_1..a_N;
     ``inverse_residual`` is ||(I - Phi) T - I||_max measured at build time.
     ``upsilon``, ``phi`` and ``T`` are dense nx x nx views, formed on first
-    access for tests and dense reference code; no production path uses them.
+    access for tests and dense reference code (``upsilon`` forms the kernel
+    table too); no production path uses them.
     """
 
     grid: Grid
@@ -254,12 +302,20 @@ def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float
     dxWt = basis.grid.dx * basis.W.T
     R = UW - X - X @ (dxWt @ UW)
     rows = max(1, BLOCK_ENTRIES // basis.grid.nx)
-    peaks = [np.max(np.abs(R[i : i + rows] @ dxWt)) for i in range(0, R.shape[0], rows)]
+    buf = np.empty((min(rows, R.shape[0]), R.shape[0]))
+    peaks = []
+    for i in range(0, R.shape[0], rows):
+        R_rows = R[i : i + rows]
+        block = buf[: R_rows.shape[0]]
+        np.matmul(R_rows, dxWt, out=block)
+        peaks.append(np.max(np.abs(block, out=block)))
     return float(np.max(peaks))
 
 
 def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
-    """Build the factored transform set from a tabulated kernel in O(nx^2 N).
+    """Build the factored transform set from the kernel's coefficients in O(nx^2 M N).
+
+    UW is contracted from Volterra moments to the kernel's order M.
 
     Raises InadmissiblePairError when some |1 + a_j| <= ADMISSIBILITY_FLOOR.
     Verifies the inverse identity to INVERSE_TOL in the max norm; failure
@@ -269,7 +325,7 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
     g = kernel.grid
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
-    UW = _upsilon_modes(kernel, basis.W)
+    UW = _upsilon_modes(kernel, _volterra_moments(basis, kernel.order))
     X, scalars, _ = _phi_recursion(UW, basis, strict=True)
     resid = _inverse_residual(UW, X, basis)
     if not resid <= INVERSE_TOL:
@@ -324,7 +380,10 @@ def scan_admissibility(
 
     A sample is inadmissible once some |1 + a_j| <= ADMISSIBILITY_FLOOR.
     Such samples are reported, never raised; past the first inadmissible
-    scalar the remaining entries of a row are NaN.
+    scalar the remaining entries of a row are NaN.  The Volterra moments are
+    formed once, to the largest order of the samples' kernels, so a sample
+    costs O(nx N M); each admissible row equals ``build_transform`` of its
+    own kernel bit for bit.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if steps < 2:
@@ -333,11 +392,12 @@ def scan_admissibility(
         raise InvalidParameterError(f"empty scan range ({lo}, {hi})")
     g = make_grid(length, nx)
     basis = modal_basis(g, n_modes)
+    kernels = [kernel_table(g, float(mu), nu) for mu in np.linspace(lo, hi, steps)]
+    moments = _volterra_moments(basis, max(kern.order for kern in kernels))
     rows = []
-    for mu in np.linspace(lo, hi, steps):
-        kern = kernel_table(g, float(mu), nu)
-        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, basis.W), basis, strict=False)
-        rows.append(ScanRow(mu=float(mu), scalars=tuple(scalars), admissible=ok))
+    for kern in kernels:
+        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, moments), basis, strict=False)
+        rows.append(ScanRow(mu=kern.mu, scalars=tuple(scalars), admissible=ok))
     return rows
 
 

@@ -272,6 +272,13 @@ class TestExitCodes:
         assert main(["simulate", "--nx", "10000000", "--nt", "10000000"]) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    def test_kernel_table_larger_than_memory_exit_2(self, tmp_path, capsys):
+        # an 8 * 1e14-byte table is refused before the grid is built
+        out = tmp_path / "kernel"
+        assert main(["kernel-dump", "--mu", "6", "--nx", "10000000", "--out", str(out)]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_parameter(self, capsys):
         assert main(["simulate", "--nu", "nan", "--nx", "40", "--nt", "10"]) == 2
         assert "nu must be finite" in capsys.readouterr().err

@@ -106,6 +106,27 @@ def test_pde_residual_needs_enough_nodes():
 def test_table_values_read_only(exp1_kernel):
     with pytest.raises(ValueError):
         exp1_kernel.values[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        exp1_kernel.values = np.zeros((200, 200))
+
+
+def test_table_formed_only_when_read(grid200):
+    kern = r.kernel_table(grid200, 6.0, 1.0)
+    assert "values" not in vars(kern)
+    assert np.array_equal(kern.boundary_row(), kern.values[-1])
+    assert "values" in vars(kern)
+    assert kern.coeffs.shape == (kern.order + 1,) and kern.coeffs[0] == 1.0
+    with pytest.raises(ValueError):
+        kern.coeffs[0] = 2.0
+
+
+def test_table_larger_than_memory_refused(grid200, monkeypatch):
+    kern = r.kernel_table(grid200, 6.0, 1.0)
+    monkeypatch.setattr(r.errors, "_physical_memory", lambda: 8 * 200 * 200 - 1)
+    with pytest.raises(InvalidParameterError, match="physical memory"):
+        kern.values
+    assert "values" not in vars(kern)
+    assert np.all(np.isfinite(kern.boundary_row()))  # needs no table
 
 
 @pytest.mark.parametrize(

@@ -68,11 +68,22 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="physical memory"):
             r.run_simulation(c)
 
+    def test_states_alone_count_against_memory(self, monkeypatch):
+        # set-up keeps only nx x N factors: states that fit pass even where
+        # states plus an nx x nx kernel table would not
+        c = cfg(nx=10**6, nt=10, mu=6.0, control="feedback")
+        states = 8 * c.nt * c.nx
+        monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states + 4 * c.nx**2)
+        c.validate()
+        monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states - 1)
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            c.validate()
+
     def test_memory_check_skipped_without_sysconf(self, monkeypatch):
         def unsupported(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
 
-        monkeypatch.setattr(rdstab.simulator.os, "sysconf", unsupported)
+        monkeypatch.setattr(rdstab.errors.os, "sysconf", unsupported)
         cfg(nx=10**7, nt=10**7).validate()
 
 

@@ -296,12 +296,12 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
 
 
 def test_factored_build_allocates_no_dense_matrix():
-    # one 2000 x 2000 float64 array is 32 MB; build, gain and norms together
-    # must stay below a quarter of that
+    # one 2000 x 2000 float64 array is 32 MB; kernel, build, gain and norms
+    # together must stay below a quarter of that, and no kernel table is formed
     g = r.make_grid(1.0, 2000)
-    kern = r.kernel_table(g, 15.0, 1.0)
     tracemalloc.start()
     try:
+        kern = r.kernel_table(g, 15.0, 1.0)
         tset = r.build_transform(kern, 2)
         r.feedback_gain(kern, tset)
         r.operator_norms(tset)
@@ -309,8 +309,58 @@ def test_factored_build_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    assert "values" not in vars(kern)
     assert not {"phi", "T", "upsilon"} & set(vars(tset))
     assert "matrix" not in vars(tset.P)
+
+
+def _moment_upsilon_gap(mu, nx, n_modes):
+    """max |UW - Upsilon W| of the moment-built UW against the dense oracle, and its bound.
+
+    The bound is 1e-12 sum |c_m| max |Upsilon W|, the cancellation of the
+    alternating series, plus the smallest normal double for the subnormal
+    kernels of a tiny mu.
+    """
+    kern = r.kernel_table(r.make_grid(1.0, nx), mu, 1.0)
+    basis = r.modal_basis(kern.grid, n_modes)
+    UW = r.transform._upsilon_modes(kern, r.transform._volterra_moments(basis, kern.order))
+    dense = r.upsilon_matrix(kern) @ basis.W
+    bound = 1e-12 * np.sum(np.abs(kern.coeffs)) * np.max(np.abs(dense)) + np.finfo(float).tiny
+    return np.max(np.abs(UW - dense)), bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(0.0, 60.0), nx=st.integers(40, 300), n_modes=st.integers(1, 3))
+def test_moment_upsilon_matches_dense_oracle(mu, nx, n_modes):
+    gap, bound = _moment_upsilon_gap(mu, nx, n_modes)
+    assert gap <= bound
+
+
+def test_moment_upsilon_matches_dense_oracle_at_large_mu(monkeypatch):
+    # mu = 150 has alternating coefficients up to ~800 (order 25); 7-row
+    # blocks with a ragged tail exercise the blocking
+    monkeypatch.setattr(r.transform, "BLOCK_ENTRIES", 7 * 300)
+    gap, bound = _moment_upsilon_gap(150.0, 300, 3)
+    assert gap <= bound
+    kern = r.kernel_table(r.make_grid(1.0, 300), 150.0, 1.0)
+    tset = r.build_transform(kern, 1)
+    assert np.max(np.abs(tset.UW - r.upsilon_matrix(kern) @ tset.basis.W)) <= bound
+
+
+def test_scan_rows_equal_builds_bit_for_bit():
+    # the scan forms its moments once, to its largest order; each admissible
+    # row must still equal a build from that sample's own kernel
+    nx = 150
+    g = r.make_grid(1.0, nx)
+    rows = r.scan_admissibility(1.0, 1.0, 3, (-10.0, 62.0), 13, nx=nx)
+    orders = set()
+    for row in rows:
+        kern = r.kernel_table(g, row.mu, 1.0)
+        orders.add(kern.order)
+        if row.admissible:
+            assert row.scalars == tuple(r.build_transform(kern, 3).admissibility)
+    assert sum(row.admissible for row in rows) >= 10
+    assert len(orders) > 3
 
 
 @pytest.mark.parametrize("row", [0, 14, 199])
