@@ -19,7 +19,10 @@ BLOCK_ENTRIES = 2**16
 ADMISSIBILITY_FLOOR = 1e-6
 INVERSE_TOL = 1e-8
 
-# Newton iteration for the cubic nonlinearity.
+# Newton iteration for the cubic nonlinearity.  A step stops when
+# max|du| <= DEFAULT_NEWTON_TOL, or one solve earlier when a certified bound
+# shows that the next correction would be at most the tolerance; the accepted
+# state then lies within the tolerance of the one the |du| test accepts.
 DEFAULT_NEWTON_TOL = 1e-12
 DEFAULT_NEWTON_MAX_ITER = 50
 

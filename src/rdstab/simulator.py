@@ -15,8 +15,11 @@ Each step solves (I + dt/2 A) u^{n+1} = (I - dt/2 A) u^n on the interior
 rows.  The first row imposes u_0 = 0; under feedback the last row imposes the
 boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and without it u_L = 0.
 The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
-balance and resolves each step by Newton's method on the same operator;
-convergence is max|du| <= newton_tol.
+balance and resolves each step by Newton's method on the same operator.
+A step stops when max|du| <= newton_tol, or one solve earlier when a certified
+bound shows that the next correction would be at most newton_tol: the cubic
+remainder of an update is known exactly, and ||C^{-1}||_inf is bounded once
+per run from the M-matrix tridiagonal core and the Woodbury factors.
 
 The closed-loop operator is a tridiagonal core plus the rank-N term mu*P_N
 and, under feedback, the rank-one gain row, and every solve goes through the
@@ -133,8 +136,9 @@ class Trajectory:
     ``controls[n]`` is the feedback value g(u^n) of level n (zero without
     feedback).  The boundary law is implicit, so ``states[n, -1]`` equals it
     to rounding for n >= 1; the initial state need not satisfy it.
-    ``newton_iters[n]`` counts the inner iterations that produced level n
-    (zero for linear runs and at n = 0).
+    ``newton_iters[n]`` counts the Newton solves that produced level n (zero
+    for linear runs and at n = 0); a step that the certified bound stops
+    after its first update takes one.
     """
 
     times: np.ndarray
@@ -216,6 +220,13 @@ class _Stepper:
     step is one gttrs plus ZS (V^T y).  A Newton shift changes the core, so
     each iteration is one gtsv on the Fortran-ordered block [rhs, U] and a
     k x k capacitance solve.
+
+    ``inv_bound`` is a certified K_C >= ||C^{-1}||_inf for nonlinear runs and
+    inf otherwise.  C^{-1} = T^{-1} - ZS V^T T^{-1} for the core T, so
+    K_C = ||T^{-1} 1||_inf + ||ZS||_inf max_i ||T^{-T} v_i||_1.  T is a Z-matrix
+    (off-diagonals <= 0), so T^{-1} 1 > 0 certifies that it is an M-matrix, with
+    T^{-1} >= 0 and ||T^{-1}||_inf = max(T^{-1} 1); without that certificate
+    K_C = inf.
     """
 
     def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix],
@@ -243,11 +254,23 @@ class _Stepper:
         self.lu = _lapack(dgttrf, sub, diag, sup)
         self.ZS = None
         if self.U is not None:
+            self.eye = np.eye(self.U.shape[1])
             (Z,) = _lapack(dgttrs, *self.lu, self.U)
-            S = np.eye(Z.shape[1]) + self.V.T @ Z
-            self.ZS = _capacitance_solve(S.T, Z.T).T
+            self.ZS = _capacitance_solve((self.eye + self.V.T @ Z).T, Z.T).T
         # gtsv's right-hand sides [rhs, U] in Fortran order; column 0 takes each rhs
         self.block = np.asfortranarray(np.column_stack([np.zeros(grid.nx), *U]))
+        self.inv_bound = self._inverse_bound() if config.model == "nonlinear" else math.inf
+
+    def _inverse_bound(self) -> float:
+        tri = self.tri
+        (t1,) = _lapack(dgttrs, *self.lu, np.ones(tri.diag.shape[0]))
+        if not ((tri.sub <= 0.0).all() and (tri.sup <= 0.0).all() and (t1 > 0.0).all()):
+            return math.inf
+        bound = float(t1.max())
+        if self.ZS is not None:
+            (TV,) = _lapack(dgttrs, *self.lu, self.V, trans="T")
+            bound += float(np.abs(self.ZS).sum(axis=1).max() * np.abs(TV).sum(axis=0).max())
+        return bound
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.tri.matvec(v)
@@ -271,7 +294,7 @@ class _Stepper:
         if self.U is None:
             return y
         YU = X[:, 1:]
-        S = np.eye(YU.shape[1]) + self.V.T @ YU
+        S = self.eye + self.V.T @ YU
         return y - YU @ _capacitance_solve(S, self.V.T @ y)
 
 
@@ -346,25 +369,50 @@ def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: 
     """Newton iteration for C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows.
 
     The constraint rows u'_0 = 0 and u'_L = g(u') are linear and part of C, so
-    they hold after the first update.  Cubes are products, not powers: libm's
-    pow takes a slow path on the tiny values of a decayed state.
+    they hold after the first update.  An update is accepted when its own
+    max|du| <= newton_tol, or when ``_next_correction_bound`` certifies that the
+    following correction would be at most newton_tol; that saves the confirming
+    solve, and the accepted iterate then lies within newton_tol of the one the
+    |du| test alone would accept.  A non-finite update raises before either
+    test.  Cubes are products, not powers: libm's pow takes a slow path on the
+    tiny values of a decayed state.
     """
     dt = config.dt
+    tol = config.newton_tol
     B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * (u * u * u))
-    up = u
+    up, up2 = u, u * u
     history = []
     for p in range(config.newton_max_iter):
-        up2 = up * up
         F = B - stepper.matvec(up) - _interior(0.5 * dt * (up2 * up))
         du = stepper.solve(F, 1.5 * dt * up2)
-        up = up + du
+        prev, up = up, up + du
+        up2 = up * up
         delta = float(np.abs(du).max())
         if not math.isfinite(delta):
             raise NonFiniteStateError(n)
         history.append(delta)
-        if delta <= config.newton_tol:
+        if delta <= tol or _next_correction_bound(stepper.inv_bound, prev, du, up2, dt) <= tol:
             return up, p + 1
     raise NewtonDivergenceError(n, history)
+
+
+def _next_correction_bound(inv_bound: float, u: np.ndarray, du: np.ndarray, up2: np.ndarray,
+                           dt: float) -> float:
+    """Bound on max|du'| for the Newton correction du' that would follow up = u + du.
+
+    ``up2`` is up^2.  du solves (C + 1.5 dt u^2) du = F(u), so the residual at
+    up is exactly r = -(dt/2) du^2 (3u + du) on the interior rows (up to
+    rounding in the solve) and zero on the constraint rows.  With
+    K_C = ``inv_bound`` >= ||C^{-1}||_inf,
+    ||(C + 1.5 dt up^2)^{-1}||_inf <= K_J = K_C / (1 - K_C 1.5 dt max up^2) when
+    the denominator is positive, so max|du'| <= K_J ||r||_inf; otherwise inf.
+    """
+    if inv_bound == math.inf:
+        return math.inf
+    w = du[1:-1]
+    resid = 0.5 * dt * float(np.abs(w * w * (3.0 * u[1:-1] + w)).max())
+    gap = 1.0 - inv_bound * 1.5 * dt * float(up2.max())
+    return inv_bound * resid / gap if gap > 0.0 else math.inf
 
 
 def run_target_consistency(config: SimulationConfig):

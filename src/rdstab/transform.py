@@ -23,11 +23,6 @@ count and order M, and each mu then costs O(nx N M).  An admissibility scan
 forms them once for all its samples.  Building, applying and measuring the
 transform needs no nx x nx temporary; the dense matrices (and the kernel
 table behind ``upsilon_matrix``) exist only as lazily formed views for tests.
-
-Two independent realizations of the recursion are provided: the factored
-one above (``build_transform``, ``phi_matrix``) and a per-vector level
-scheme (``phi_apply_recursive``) that walks the recursion bottom-up from
-precomputed operator chains; the two must agree to roundoff.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "ScanRow",
     "upsilon_matrix",
     "phi_matrix",
-    "phi_apply_recursive",
     "build_transform",
     "forward_transform",
     "inverse_transform",
@@ -182,75 +176,6 @@ def phi_matrix(
         )
     X, scalars, _ = _phi_recursion(upsilon @ basis.W, basis, strict=True, floor=floor)
     return g.dx * (X @ basis.W.T), scalars
-
-
-def phi_apply_recursive(
-    upsilon: np.ndarray,
-    basis: ModalBasis,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Apply Phi_N to one vector by the bottom-up level scheme.
-
-    The recursion for Phi_N needs Phi_{N-1} applied to two inputs, each of
-    which needs Phi_{N-2}, and so on.  Unrolled, the required raw inputs are
-    the operator chains
-
-        (Upsilon P_p) (Upsilon P_{p+1}) ... (Upsilon P_N) v
-        (Upsilon P_p) ... (Upsilon P_{j-1}) [Upsilon e_j],   p < j <= N,
-
-    which are precomputed right-to-left.  One pass per level p = 1..N then
-    advances every still-needed quantity from Phi_{p-1} to Phi_p and
-    consumes the e_p chain to form a_p, failing when |1 + a_p| is within
-    ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for
-    :func:`phi_matrix`; both paths implement the same recursion.
-    """
-    g = basis.grid
-    v = g.check_vector(v)
-    W = basis.W
-    wq = trapezoid_weights(g)
-    N = basis.n_modes
-    dx = g.dx
-
-    def up_pj(j: int, vec: np.ndarray) -> np.ndarray:
-        # Upsilon P_j vec with P_j the projection on modes 1..j
-        coeffs = dx * (W[:, :j].T @ vec)
-        return upsilon @ (W[:, :j] @ coeffs)
-
-    # raw chains, indexed by the level at which they are consumed next
-    main = v.copy()
-    main_chain = [None] * (N + 1)  # main_chain[p] = (U P_p) ... (U P_N) v
-    for p in range(N, 0, -1):
-        main = up_pj(p, main)
-        main_chain[p] = main
-    e_chain = {}
-    for j in range(2, N + 1):
-        c = upsilon @ W[:, j - 1]  # Upsilon e_j
-        chain = [None] * j
-        for p in range(j - 1, 0, -1):
-            c = up_pj(p, c)
-            chain[p] = c
-        e_chain[j] = chain
-
-    # level p state: M = Phi_p [ (U P_{p+1}) ... (U P_N) v ]
-    #                E[j] = Phi_p [ (U P_{p+1}) ... (U P_{j-1}) Upsilon e_j ]
-    M = np.zeros(g.nx)
-    E = {j: np.zeros(g.nx) for j in range(2, N + 1)}
-    for p in range(1, N + 1):
-        ep = W[:, p - 1]
-        if p == 1:
-            bb = upsilon @ ep
-        else:
-            bb = (upsilon @ ep) - E[p]
-        a = float(np.dot(wq * bb, ep))
-        if abs(1.0 + a) <= ADMISSIBILITY_FLOOR:
-            raise InadmissiblePairError(p, a, ADMISSIBILITY_FLOOR)
-        def advance(raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
-            r = raw - prev
-            return r - (np.dot(wq * r, ep) / (1.0 + a)) * bb
-        M = advance(main_chain[p], M)
-        for j in range(p + 1, N + 1):
-            E[j] = advance(e_chain[j][p], E[j])
-    return M
 
 
 @dataclass(frozen=True)

