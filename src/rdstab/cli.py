@@ -312,6 +312,8 @@ def _load_config(args) -> SimulationConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidParameterError(f"unknown config keys {sorted(unknown)}")
+        if "forcing" in raw:
+            raise InvalidParameterError("forcing is a callable and cannot come from a config file")
         fields.update(raw)
     overrides = {
         "nu": args.nu, "alpha": args.alpha, "mu": args.mu, "n_modes": args.modes,

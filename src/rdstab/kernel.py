@@ -15,7 +15,10 @@ and has the explicit power series
 zeta = (x^2 - y^2) / L^2, which lies in [0, 1] on the triangle:
 c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The c_m are built recursively,
 since explicit factorials overflow doubles near m = 85; because zeta <= 1,
-a coefficient can only underflow once its term is already negligible.
+a coefficient can only underflow once its term is already negligible.  The
+same recurrence picks the truncation order M: it stops at the first M whose
+next term on the x = L row is below DEFAULT_KERNEL_TOL, and reports that
+term as the achieved gap.
 
 The set-up needs the kernel only through Upsilon W and the row k(L, .), so
 ``kernel_table`` costs O(nx M) and forms no nx x nx array.  The table
@@ -44,7 +47,6 @@ from .grid import Grid
 __all__ = [
     "Kernel",
     "kernel_series",
-    "truncate_order",
     "kernel_table",
     "kernel_pde_residual",
 ]
@@ -80,30 +82,6 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
         term *= q * z / ((m + 1) * (m + 2))
         total += term
     return -(mu * y) / (2.0 * nu) * total
-
-
-def truncate_order(mu: float, nu: float, grid: Grid) -> int:
-    """Smallest M with max |k^{M+1} - k^M| < DEFAULT_KERNEL_TOL over all grid pairs.
-
-    The difference k^{M+1} - k^M is the (M+1)-th series term, whose magnitude
-    grows with x at fixed y, so the maximum over the triangle is attained on
-    the x = L row.  The scan therefore only tracks that row.
-    """
-    check_scalars(nu=nu, mu=mu, positive=("nu",))
-    y = grid.nodes
-    prefactor = np.abs(mu) * y / (2.0 * nu)
-    z = grid.length**2 - y * y
-    q = np.abs(mu) / (4.0 * nu)
-    term = np.ones_like(y)
-    # overflow for absurd mu/nu just keeps the loop running into the cap error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in range(KERNEL_MAX_ORDER + 1):
-            term = term * q * z / ((order + 1) * (order + 2))
-            if np.max(prefactor * term) < DEFAULT_KERNEL_TOL:
-                return order
-    raise ConvergenceError(
-        f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} within {KERNEL_MAX_ORDER} terms"
-    )
 
 
 @dataclass(frozen=True)
@@ -169,14 +147,6 @@ class Kernel:
         values.flags.writeable = False
         return values
 
-    def value(self, i: int, j: int) -> float:
-        """Table entry for node pair (i, j); rejects points above the diagonal."""
-        if not (0 <= i < self.grid.nx and 0 <= j < self.grid.nx):
-            raise DimensionError(f"index ({i}, {j}) outside {self.grid.nx}-node table")
-        if j > i:
-            raise DomainError(f"entry ({i}, {j}) lies above the diagonal")
-        return float(self.values[i, j])
-
     def boundary_row(self) -> np.ndarray:
         """Kernel trace k(L, y_j) used by the feedback law, in O(nx M).
 
@@ -196,23 +166,37 @@ def check_table_fits(nx: int) -> None:
 
 
 def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
-    """The kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL, in O(nx M).
+    """The kernel to the smallest order M that meets DEFAULT_KERNEL_TOL, in O(nx M).
 
-    Forms the coefficients c_0..c_M and the achieved gap, the next series
-    term on the x = L row, where ``truncate_order`` locates its maximum.
-    The nx x nx table is left to :attr:`Kernel.values`.
+    One recurrence forms c_0, c_1, ... and the next series term on the
+    x = L row, where the gap max |k^{M+1} - k^M| over the triangle is
+    attained (the term grows with x at fixed y).  It stops at the first M
+    whose gap is below DEFAULT_KERNEL_TOL, and that gap is stored as
+    ``achieved_delta``.  The nx x nx table is left to :attr:`Kernel.values`.
+
+    Raises ConvergenceError when no M <= KERNEL_MAX_ORDER meets the tolerance.
     """
-    order = truncate_order(mu, nu, grid)
+    check_scalars(nu=nu, mu=mu, positive=("nu",))
     L2 = grid.length**2
     q = -mu * L2 / (4.0 * nu)
-    coeffs = [1.0]
-    for m in range(1, order + 2):
-        coeffs.append(coeffs[-1] * q / (m * (m + 1)))
     y = grid.nodes
     prefactor = -(mu * y) / (2.0 * nu)
     zeta_top = (L2 - y * y) / L2
-    achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
-    kept = np.array(coeffs[: order + 1])
+    coeffs = [1.0]
+    # overflow for absurd mu/nu just keeps the loop running into the cap error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(KERNEL_MAX_ORDER + 1):
+            c_next = coeffs[-1] * q / ((order + 1) * (order + 2))
+            gap = float(np.max(np.abs(prefactor * c_next * zeta_top ** (order + 1))))
+            if gap < DEFAULT_KERNEL_TOL:
+                break
+            coeffs.append(c_next)
+        else:
+            raise ConvergenceError(
+                f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
+                f"within {KERNEL_MAX_ORDER} terms"
+            )
+    kept = np.array(coeffs)
     kept.flags.writeable = False
     return Kernel(
         coeffs=kept,
@@ -220,7 +204,7 @@ def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
         mu=float(mu),
         nu=float(nu),
         grid=grid,
-        achieved_delta=achieved,
+        achieved_delta=gap,
     )
 
 

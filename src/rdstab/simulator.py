@@ -99,6 +99,12 @@ class SimulationConfig:
         return self.tmax / (self.nt - 1)
 
     def validate(self) -> None:
+        for name in ("nx", "nt", "n_modes", "newton_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        if self.forcing is not None and not callable(self.forcing):
+            raise InvalidParameterError(f"forcing must be None or callable, got {self.forcing!r}")
         check_scalars(
             nu=self.nu, alpha=self.alpha, mu=self.mu, length=self.length, tmax=self.tmax,
             newton_tol=self.newton_tol, positive=("nu", "length", "tmax", "newton_tol"),

@@ -21,21 +21,23 @@ coefficients and mu-free Volterra moments (``_volterra_moments``), so no
 kernel table is formed: the moments cost O(nx^2 M N) once per grid, mode
 count and order M, and each mu then costs O(nx N M).  An admissibility scan
 forms them once for all its samples.  Building, applying and measuring the
-transform needs no nx x nx temporary; the dense matrices (and the kernel
-table behind ``upsilon_matrix``) exist only as lazily formed views for tests.
+transform needs no nx x nx temporary, and ``TransformSet`` holds the factors
+alone.  One recursion (``_phi_recursion``) serves both ``build_transform``,
+which raises at the first inadmissible a_j, and ``scan_admissibility``, which
+reports it.  ``upsilon_matrix``, the dense Upsilon read from the kernel table,
+is the one dense reference kept here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .constants import ADMISSIBILITY_FLOOR, BLOCK_ENTRIES, INVERSE_TOL
-from .errors import DimensionError, InadmissiblePairError, InvalidParameterError, SolverError
+from .errors import InadmissiblePairError, InvalidParameterError, SolverError
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
 from .spectral import ModalBasis, ProjectionMatrix, modal_basis, projection_matrix
@@ -45,7 +47,6 @@ __all__ = [
     "OperatorNorms",
     "ScanRow",
     "upsilon_matrix",
-    "phi_matrix",
     "build_transform",
     "forward_transform",
     "inverse_transform",
@@ -122,17 +123,13 @@ def _upsilon_modes(kernel: Kernel, moments: np.ndarray) -> np.ndarray:
     return UW
 
 
-def _phi_recursion(
-    UW: np.ndarray,
-    basis: ModalBasis,
-    strict: bool,
-    floor: float = ADMISSIBILITY_FLOOR,
-):
-    """Shared core of the inverse recursion, on the factor X of Phi_j = X (dx W_j^T).
+def _phi_recursion(UW: np.ndarray, basis: ModalBasis):
+    """The inverse recursion, on the factor X of Phi_j = X (dx W_j^T).
 
-    ``UW`` is Upsilon W.  Returns (X, scalars, admissible).  In strict mode
-    an inadmissible scalar raises; otherwise the recursion stops there, the
-    remaining scalars are NaN and ``admissible`` is False.
+    ``UW`` is Upsilon W.  Returns (X, scalars, bad).  The recursion records
+    each a_j up to the first with |1 + a_j| <= ADMISSIBILITY_FLOOR and stops
+    there: ``bad`` is that 1-based j (0 when every a_j is admissible) and the
+    scalars after it are NaN.
     """
     g = basis.grid
     W = basis.W
@@ -146,56 +143,25 @@ def _phi_recursion(
         ej = W[:, j - 1]
         a = float(np.dot(wq * b, ej))
         scalars[j - 1] = a
-        if abs(1.0 + a) <= floor:
-            if strict:
-                raise InadmissiblePairError(j, a, floor)
-            return X, scalars, False
+        if abs(1.0 + a) <= ADMISSIBILITY_FLOOR:
+            return X, scalars, j
         # Phi_j = B P_j minus the rank-one correction b (e_j, B P_j .) / (1 + a_j)
         X = B - np.outer(b, (wq * ej) @ B) / (1.0 + a)
-    return X, scalars, True
-
-
-def phi_matrix(
-    upsilon: np.ndarray,
-    basis: ModalBasis,
-    floor: float = ADMISSIBILITY_FLOOR,
-):
-    """Assemble Phi_N as a dense matrix together with the scalars a_1..a_N.
-
-    A dense wrapper over the factored recursion, for tests and dense input.
-
-    Raises
-    ------
-    InadmissiblePairError
-        If any |1 + a_j| <= floor.
-    """
-    g = basis.grid
-    if upsilon.shape != (g.nx, g.nx):
-        raise DimensionError(
-            f"upsilon shape {upsilon.shape} does not match grid ({g.nx} nodes)"
-        )
-    X, scalars, _ = _phi_recursion(upsilon @ basis.W, basis, strict=True, floor=floor)
-    return g.dx * (X @ basis.W.T), scalars
+    return X, scalars, 0
 
 
 @dataclass(frozen=True)
 class TransformSet:
-    """Discrete transform bundle, kept as its nx x N factors.
+    """Discrete transform bundle, kept as its nx x N factors; no dense matrix.
 
     T = I + UW (dx W^T) with UW = Upsilon W, and Phi_N = X (dx W^T).
     ``admissibility`` holds the recursion scalars a_1..a_N;
     ``inverse_residual`` is ||(I - Phi) T - I||_max measured at build time.
-    ``upsilon``, ``phi`` and ``T`` are dense nx x nx views, formed on first
-    access for tests and dense reference code (``upsilon`` forms the kernel
-    table too); no production path uses them.
     """
 
     grid: Grid
-    mu: float
-    nu: float
     basis: ModalBasis
     P: ProjectionMatrix
-    kernel: Kernel = field(repr=False)
     UW: np.ndarray = field(repr=False)
     X: np.ndarray = field(repr=False)
     admissibility: np.ndarray
@@ -204,18 +170,6 @@ class TransformSet:
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
-
-    @cached_property
-    def upsilon(self) -> np.ndarray:
-        return upsilon_matrix(self.kernel)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return self.grid.dx * (self.X @ self.basis.W.T)
-
-    @cached_property
-    def T(self) -> np.ndarray:
-        return np.eye(self.grid.nx) + self.grid.dx * (self.UW @ self.basis.W.T)
 
 
 def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float:
@@ -251,7 +205,9 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
     UW = _upsilon_modes(kernel, _volterra_moments(basis, kernel.order))
-    X, scalars, _ = _phi_recursion(UW, basis, strict=True)
+    X, scalars, bad = _phi_recursion(UW, basis)
+    if bad:
+        raise InadmissiblePairError(bad, float(scalars[bad - 1]), ADMISSIBILITY_FLOOR)
     resid = _inverse_residual(UW, X, basis)
     if not resid <= INVERSE_TOL:
         raise SolverError(
@@ -260,11 +216,8 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
         )
     return TransformSet(
         grid=g,
-        mu=kernel.mu,
-        nu=kernel.nu,
         basis=basis,
         P=P,
-        kernel=kernel,
         UW=UW,
         X=X,
         admissibility=scalars,
@@ -321,8 +274,8 @@ def scan_admissibility(
     moments = _volterra_moments(basis, max(kern.order for kern in kernels))
     rows = []
     for kern in kernels:
-        _, scalars, ok = _phi_recursion(_upsilon_modes(kern, moments), basis, strict=False)
-        rows.append(ScanRow(mu=kern.mu, scalars=tuple(scalars), admissible=ok))
+        _, scalars, bad = _phi_recursion(_upsilon_modes(kern, moments), basis)
+        rows.append(ScanRow(mu=kern.mu, scalars=tuple(scalars), admissible=not bad))
     return rows
 
 

@@ -1,4 +1,5 @@
 import pytest
+from scipy.optimize import brentq
 
 import rdstab as r
 
@@ -41,3 +42,19 @@ def fine_builds():
         "t6": r.build_transform(k6, 1),
         "t15": r.build_transform(k15, 2),
     }
+
+
+@pytest.fixture(scope="session")
+def a1_root():
+    """A mu in (25, 35) where 1 + a_1 crosses zero for nu = L = 1 on 80 nodes.
+
+    Located by bisection on the a_1 that ``scan_admissibility`` records, which
+    it keeps even in a row that is inadmissible, to 1e-10 in mu, so that
+    |1 + a_1| there lies far inside ADMISSIBILITY_FLOOR.
+    """
+
+    def one_plus_a1(mu):
+        row = r.scan_admissibility(1.0, 1.0, 1, (mu, mu + 1.0), 2, nx=80)[0]
+        return 1.0 + row.scalars[0]
+
+    return brentq(one_plus_a1, 25.0, 35.0, xtol=1e-10)

@@ -8,7 +8,11 @@ boundary law by a fixed point on the last row.  ``closed_loop_matrix`` is the
 dense operator C of one run.  ``newton_step_tol`` is the marcher's Newton loop
 with the plain max|du| <= newton_tol stop and no certified early stop.
 ``phi_apply_recursive`` applies Phi_N by a per-vector level scheme, independent
-of the factored recursion in ``rdstab.transform``.
+of the factored recursion in ``rdstab.transform``; ``dense_transform`` expands
+a transform set's nx x N factors into the dense T and Phi_N.
+``truncate_order`` and ``kernel_table`` are the two-pass kernel set-up that
+``rdstab.kernel.kernel_table`` replaced: the order is found by one loop, then
+the coefficients and the achieved gap are formed again to that order.
 """
 
 import math
@@ -16,14 +20,22 @@ from typing import Optional
 
 import numpy as np
 
-from rdstab.constants import ADMISSIBILITY_FLOOR, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
+from rdstab.constants import (
+    ADMISSIBILITY_FLOOR,
+    DEFAULT_KERNEL_TOL,
+    DEFAULT_NEWTON_MAX_ITER,
+    DEFAULT_NEWTON_TOL,
+    KERNEL_MAX_ORDER,
+)
 from rdstab.controller import feedback_gain
 from rdstab.errors import (
+    ConvergenceError,
     DimensionError,
     InadmissiblePairError,
     InvalidParameterError,
     NewtonDivergenceError,
     NonFiniteStateError,
+    check_scalars,
 )
 from rdstab.grid import Grid, laplacian_matrix, trapezoid_weights
 from rdstab.kernel import Kernel
@@ -179,8 +191,9 @@ def phi_apply_recursive(
     which are precomputed right-to-left.  One pass per level p = 1..N then
     advances every still-needed quantity from Phi_{p-1} to Phi_p and
     consumes the e_p chain to form a_p, failing when |1 + a_p| is within
-    ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for
-    ``rdstab.transform.phi_matrix``; both paths implement the same recursion.
+    ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for the factored
+    recursion of ``rdstab.transform.build_transform``; both implement the
+    same recursion.
     """
     g = basis.grid
     v = g.check_vector(v)
@@ -229,3 +242,62 @@ def phi_apply_recursive(
         for j in range(p + 1, N + 1):
             E[j] = advance(e_chain[j][p], E[j])
     return M
+
+
+def dense_transform(tset: TransformSet):
+    """Dense (T, Phi_N) of a transform set, expanded from its nx x N factors."""
+    g, W = tset.grid, tset.basis.W
+    return np.eye(g.nx) + g.dx * (tset.UW @ W.T), g.dx * (tset.X @ W.T)
+
+
+def truncate_order(mu: float, nu: float, grid: Grid) -> int:
+    """Smallest M with max |k^{M+1} - k^M| < DEFAULT_KERNEL_TOL over all grid pairs.
+
+    The difference k^{M+1} - k^M is the (M+1)-th series term, whose magnitude
+    grows with x at fixed y, so the maximum over the triangle is attained on
+    the x = L row.  The scan therefore only tracks that row.
+    """
+    check_scalars(nu=nu, mu=mu, positive=("nu",))
+    y = grid.nodes
+    prefactor = np.abs(mu) * y / (2.0 * nu)
+    z = grid.length**2 - y * y
+    q = np.abs(mu) / (4.0 * nu)
+    term = np.ones_like(y)
+    # overflow for absurd mu/nu just keeps the loop running into the cap error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(KERNEL_MAX_ORDER + 1):
+            term = term * q * z / ((order + 1) * (order + 2))
+            if np.max(prefactor * term) < DEFAULT_KERNEL_TOL:
+                return order
+    raise ConvergenceError(
+        f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} within {KERNEL_MAX_ORDER} terms"
+    )
+
+
+def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
+    """The kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL, in O(nx M).
+
+    Forms the coefficients c_0..c_M and the achieved gap, the next series
+    term on the x = L row, where ``truncate_order`` locates its maximum.
+    The nx x nx table is left to :attr:`Kernel.values`.
+    """
+    order = truncate_order(mu, nu, grid)
+    L2 = grid.length**2
+    q = -mu * L2 / (4.0 * nu)
+    coeffs = [1.0]
+    for m in range(1, order + 2):
+        coeffs.append(coeffs[-1] * q / (m * (m + 1)))
+    y = grid.nodes
+    prefactor = -(mu * y) / (2.0 * nu)
+    zeta_top = (L2 - y * y) / L2
+    achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
+    kept = np.array(coeffs[: order + 1])
+    kept.flags.writeable = False
+    return Kernel(
+        coeffs=kept,
+        order=order,
+        mu=float(mu),
+        nu=float(nu),
+        grid=grid,
+        achieved_delta=achieved,
+    )

@@ -15,9 +15,9 @@ from scipy.special import j1
 
 import rdstab as r
 from rdstab.cli import run_experiment
-from rdstab.constants import REFERENCE_SCALAR_TOL
+from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
 from rdstab.errors import InadmissiblePairError
-from oracles import phi_apply_recursive
+from oracles import dense_transform, phi_apply_recursive
 
 LAM1 = math.pi**2
 
@@ -138,8 +138,9 @@ def test_criterion_03_inverse_identity(capsys, fine_builds):
     for key in ("t6", "t15"):
         tset = fine_builds[key]
         eye = np.eye(tset.grid.nx)
-        left = (eye - tset.phi) @ tset.T
-        right = tset.T @ (eye - tset.phi)
+        T, phi = dense_transform(tset)
+        left = (eye - phi) @ T
+        right = T @ (eye - phi)
         for _ in range(10):
             v = rng.standard_normal(tset.grid.nx)
             scale = float(np.max(np.abs(v)))
@@ -159,16 +160,16 @@ def test_criterion_04_recursion_paths_agree(capsys, grid200, exp2_kernel):
     U = r.upsilon_matrix(exp2_kernel)
     worst = 0.0
     for n_modes in (1, 2, 3):
-        basis = r.modal_basis(grid200, n_modes)
-        phi, _ = r.phi_matrix(U, basis)
+        tset = r.build_transform(exp2_kernel, n_modes)
+        phi = dense_transform(tset)[1]
         cols = np.empty_like(phi)
         for j in range(grid200.nx):
             e = np.zeros(grid200.nx)
             e[j] = 1.0
-            cols[:, j] = phi_apply_recursive(U, basis, e)
+            cols[:, j] = phi_apply_recursive(U, tset.basis, e)
         worst = max(worst, float(np.max(np.abs(phi - cols))))
     ok = worst <= 1e-10
-    detail = f"matrix vs per-vector recursion, max entrywise gap {worst:.2e} <= 1e-10 for N in {{1,2,3}}"
+    detail = f"built vs per-vector recursion, max entrywise gap {worst:.2e} <= 1e-10 for N in {{1,2,3}}"
     _record(capsys, 4, ok, detail)
     assert ok, detail
 
@@ -322,24 +323,26 @@ def test_criterion_10_bernoulli_envelope(capsys):
     assert ok, detail
 
 
-def test_criterion_11_inadmissibility_handling(capsys, grid200):
+def test_criterion_11_inadmissibility_handling(capsys, a1_root):
     rows = r.scan_admissibility(1.0, 1.0, 1, (1.0, 40.0), 40, nx=120)
     brackets = r.sign_change_brackets(rows)
     found = any(j == 1 and 20.0 < lo < hi < 40.0 for j, lo, hi in brackets)
-    basis = r.modal_basis(grid200, 1)
-    e1 = basis.mode(1)
-    wq = r.trapezoid_weights(grid200)
-    U = (-1.0 + 1e-9) * np.outer(e1, wq * e1)
+    # at the root of 1 + a_1 the scan records a_1 and NaN after it, and the
+    # build refuses the pair at index 1
+    mid = r.scan_admissibility(1.0, 1.0, 2, (a1_root - 1e-9, a1_root + 1e-9), 3, nx=80)[1]
+    marked = (not mid.admissible and math.isfinite(mid.scalars[0])
+              and math.isnan(mid.scalars[1]))
     raised = False
     try:
-        r.phi_matrix(U, basis)
+        r.build_transform(r.kernel_table(r.make_grid(1.0, 80), a1_root, 1.0), 2)
     except InadmissiblePairError as err:
-        raised = err.index == 1
-    ok = found and raised
+        raised = err.index == 1 and abs(1.0 + err.value) <= ADMISSIBILITY_FLOOR
+    ok = found and marked and raised
     bs = ", ".join(f"({lo:.2f}, {hi:.2f})" for _, lo, hi in brackets)
     detail = (
         f"scan brackets a sign change of 1+a_1 at {bs or 'none'}; "
-        f"synthetic a_1 = -1+1e-9 raises the inadmissible-pair error: {raised}"
+        f"at mu = {a1_root:.10f} the scan row is (finite a_1, NaN): {marked}, "
+        f"and building the pair raises the inadmissible-pair error at j = 1: {raised}"
     )
     _record(capsys, 11, ok, detail)
     assert ok, detail

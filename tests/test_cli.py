@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import rdstab as r
 from rdstab.cli import EXPERIMENT_PRESETS, export, fit_decay_rate, main, run_experiment
@@ -304,6 +303,29 @@ class TestExitCodes:
             assert main(["simulate", "--config", str(cfg)]) == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, name",
+        [
+            ({"nt": "abc"}, "nt"),
+            ({"model": "nonlinear", "newton_max_iter": 2.5}, "newton_max_iter"),
+            ({"nx": 100.5}, "nx"),
+            ({"n_modes": 1.5}, "n_modes"),
+            ({"nx": True}, "nx"),
+        ],
+    )
+    def test_non_integer_config_value(self, raw, name, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+
+    def test_forcing_refused_from_config(self, tmp_path, capsys):
+        # a callable cannot come from JSON
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"forcing": 1, "nx": 20, "nt": 5}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "forcing is a callable and cannot come from a config file" in capsys.readouterr().err
+
     def test_config_not_object(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("[1, 2]")
@@ -314,19 +336,10 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
 
-    def test_inadmissible_pair_exit_3(self, capsys):
-        # locate a mu where 1 + a_1 crosses zero, then ask for that design
-        g = r.make_grid(1.0, 80)
-        basis = r.modal_basis(g, 1)
-
-        def one_plus_a1(mu):
-            U = r.upsilon_matrix(r.kernel_table(g, mu, 1.0))
-            _, scalars = r.phi_matrix(U, basis, floor=0.0)
-            return 1.0 + scalars[0]
-
-        root = brentq(one_plus_a1, 25.0, 35.0, xtol=1e-10)
+    def test_inadmissible_pair_exit_3(self, capsys, a1_root):
+        # a mu where 1 + a_1 crosses zero on 80 nodes: ask for that design
         rc = main([
-            "simulate", "--alpha", "30", "--mu", repr(root), "--nx", "80",
+            "simulate", "--alpha", "30", "--mu", repr(a1_root), "--nx", "80",
             "--nt", "10", "--tmax", "0.1", "--dynamics", "paper",
             "--control", "feedback",
         ])

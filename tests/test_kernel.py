@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import j1
 
+import oracles
 import rdstab as r
 from rdstab.constants import DEFAULT_KERNEL_TOL
 from rdstab.errors import ConvergenceError, DomainError, DimensionError, InvalidParameterError
@@ -52,14 +54,34 @@ def test_truncation_orders_frozen():
     # brute-force oracle: smallest M with max increment below 1e-12 on the
     # top grid row gave 9 (mu=6) and 12 (mu=15)
     g = r.make_grid(1.0, 200)
-    assert r.truncate_order(6.0, 1.0, g) == 9
-    assert r.truncate_order(15.0, 1.0, g) == 12
+    assert r.kernel_table(g, 6.0, 1.0).order == 9
+    assert r.kernel_table(g, 15.0, 1.0).order == 12
 
 
 def test_truncation_raises_past_cap():
     g = r.make_grid(1.0, 50)
-    with pytest.raises(ConvergenceError):
-        r.truncate_order(1e6, 1e-3, g)
+    for table in (r.kernel_table, oracles.kernel_table):
+        with pytest.raises(ConvergenceError):
+            table(g, 1e6, 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(-10.0, 150.0),
+    nu=st.floats(0.1, 5.0),
+    length=st.floats(0.3, 3.0),
+    nx=st.integers(10, 3000),
+)
+def test_one_pass_table_matches_two_pass_oracle(mu, nu, length, nx):
+    # the order decision and the reported gap come from one recurrence; the
+    # oracle finds the order in one loop and forms the coefficients again
+    g = r.make_grid(length, nx)
+    want = oracles.kernel_table(g, mu, nu)
+    got = r.kernel_table(g, mu, nu)
+    assert got.order == want.order
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.achieved_delta == pytest.approx(want.achieved_delta, rel=1e-15, abs=0.0)
+    assert got.achieved_delta < DEFAULT_KERNEL_TOL
 
 
 def test_table_boundary_conditions_exact(grid200, exp1_kernel, exp2_kernel):
@@ -75,14 +97,6 @@ def test_table_strictly_lower_triangular(exp1_kernel):
 
 def test_table_achieved_delta_below_tol(exp1_kernel):
     assert exp1_kernel.achieved_delta < DEFAULT_KERNEL_TOL
-
-
-def test_value_accessor_guards(exp1_kernel):
-    assert exp1_kernel.value(10, 3) == exp1_kernel.values[10, 3]
-    with pytest.raises(DomainError):
-        exp1_kernel.value(3, 10)
-    with pytest.raises(DimensionError):
-        exp1_kernel.value(400, 0)
 
 
 def test_boundary_row_is_last_row(exp1_kernel):

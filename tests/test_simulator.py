@@ -58,11 +58,25 @@ class TestConfig:
             dict(length=math.inf),
             dict(tmax=math.inf),
             dict(newton_tol=math.nan),
+            dict(forcing=1),
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(InvalidParameterError):
             cfg(**bad).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("nx", 100.5), ("nt", "abc"), ("n_modes", 1.5), ("newton_max_iter", 2.5),
+         ("nt", True), ("n_modes", np.float64(2.0))],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+            cfg(**{name: value}).validate()
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg(nx=np.int64(60), nt=np.int32(40), n_modes=np.int16(2),
+            newton_max_iter=np.int64(5)).validate()
 
     def test_accepts_defaults(self):
         r.SimulationConfig(nu=1.0, alpha=12.0, mu=6.0).validate()

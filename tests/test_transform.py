@@ -6,13 +6,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import j1
 
 import rdstab as r
-from rdstab.constants import REFERENCE_SCALAR_TOL
+from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
 from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
-from oracles import phi_apply_recursive
+from oracles import dense_transform, phi_apply_recursive
 
 # continuum values of the admissibility scalars, computed independently from
 # the Bessel closed form of the kernel with adaptive double quadrature
@@ -61,9 +60,10 @@ def test_upsilon_against_adaptive_quadrature(fine_builds):
 def test_phi_zero_for_zero_kernel(grid200):
     kern0 = r.kernel_table(grid200, 0.0, 1.0)
     tset = r.build_transform(kern0, 3)
-    assert np.max(np.abs(tset.phi)) == 0.0
+    T, phi = dense_transform(tset)
+    assert np.max(np.abs(phi)) == 0.0
     assert np.max(np.abs(tset.admissibility)) == 0.0
-    assert np.max(np.abs(tset.T - np.eye(grid200.nx))) == 0.0
+    assert np.max(np.abs(T - np.eye(grid200.nx))) == 0.0
 
 
 def test_admissibility_scalars_match_continuum_oracle(fine_builds):
@@ -86,8 +86,9 @@ def test_inverse_identity_two_sided(exp1_tset, exp2_tset):
     for tset in (exp1_tset, exp2_tset):
         n = tset.grid.nx
         eye = np.eye(n)
-        left = (eye - tset.phi) @ tset.T - eye
-        right = tset.T @ (eye - tset.phi) - eye
+        T, phi = dense_transform(tset)
+        left = (eye - phi) @ T - eye
+        right = T @ (eye - phi) - eye
         assert np.max(np.abs(left)) < 1e-8
         assert np.max(np.abs(right)) < 1e-8
 
@@ -103,39 +104,31 @@ def test_round_trip_on_random_vectors(exp2_tset):
 def test_phi_ignores_unprojected_directions(exp2_tset):
     # Phi u = Phi P_N u, so Phi (I - P) vanishes
     n = exp2_tset.grid.nx
-    resid = exp2_tset.phi @ (np.eye(n) - exp2_tset.P.matrix)
+    resid = dense_transform(exp2_tset)[1] @ (np.eye(n) - exp2_tset.P.matrix)
     assert np.max(np.abs(resid)) < 1e-10
 
 
-def test_per_vector_path_matches_matrix(grid200, exp2_kernel):
+def test_per_vector_path_matches_matrix(exp2_kernel):
     U = r.upsilon_matrix(exp2_kernel)
     rng = np.random.default_rng(3)
     for n_modes in (1, 2, 3):
-        basis = r.modal_basis(grid200, n_modes)
-        phi, _ = r.phi_matrix(U, basis)
-        v = rng.standard_normal(grid200.nx)
-        assert np.max(np.abs(phi @ v - phi_apply_recursive(U, basis, v))) < 1e-10
+        tset = r.build_transform(exp2_kernel, n_modes)
+        phi = dense_transform(tset)[1]
+        v = rng.standard_normal(tset.grid.nx)
+        assert np.max(np.abs(phi @ v - phi_apply_recursive(U, tset.basis, v))) < 1e-10
 
 
-def test_synthetic_inadmissible_scalar_raises(grid200):
-    # rank-one operator engineered so that a_1 = -1 + 1e-9 exactly
-    basis = r.modal_basis(grid200, 1)
-    e1 = basis.mode(1)
-    wq = r.trapezoid_weights(grid200)
-    c = -1.0 + 1e-9
-    U = c * np.outer(e1, wq * e1)
+def test_synthetic_inadmissible_scalar_raises(a1_root):
+    # at a root of 1 + a_1 the production build and the per-vector oracle
+    # both refuse the pair, at the first scalar
+    kern = r.kernel_table(r.make_grid(1.0, 80), a1_root, 1.0)
     with pytest.raises(InadmissiblePairError) as exc:
-        r.phi_matrix(U, basis)
+        r.build_transform(kern, 1)
     assert exc.value.index == 1
-    assert exc.value.value == pytest.approx(c, abs=1e-12)
+    assert abs(1.0 + exc.value.value) <= ADMISSIBILITY_FLOOR
+    basis = r.modal_basis(kern.grid, 1)
     with pytest.raises(InadmissiblePairError):
-        phi_apply_recursive(U, basis, e1)
-
-
-def test_phi_matrix_shape_guard(grid200):
-    basis = r.modal_basis(grid200, 1)
-    with pytest.raises(DimensionError):
-        r.phi_matrix(np.zeros((10, 10)), basis)
+        phi_apply_recursive(r.upsilon_matrix(kern), basis, basis.mode(1))
 
 
 def test_scan_reports_experiment_value():
@@ -157,28 +150,20 @@ def test_scan_brackets_sign_change():
     assert 25.0 <= lo < hi <= 35.0
 
 
-def test_scan_marks_inadmissible_row_with_nan():
-    # bisect the root of 1 + a_1(mu) and scan straddling it with N = 2:
-    # the a_2 entry of the inadmissible row cannot be computed
-    nx = 80
-    g = r.make_grid(1.0, nx)
-    basis1 = r.modal_basis(g, 1)
-
-    def one_plus_a1(mu):
-        U = r.upsilon_matrix(r.kernel_table(g, mu, 1.0))
-        _, scalars = r.phi_matrix(U, basis1, floor=0.0)
-        return 1.0 + scalars[0]
-
-    root = brentq(one_plus_a1, 25.0, 35.0, xtol=1e-10)
-    rows = r.scan_admissibility(1.0, 1.0, 2, (root - 1e-9, root + 1e-9), 3, nx=nx)
+def test_scan_marks_inadmissible_row_with_nan(a1_root):
+    # scan straddling a root of 1 + a_1(mu) with N = 2: the a_2 entry of the
+    # inadmissible row cannot be computed
+    rows = r.scan_admissibility(1.0, 1.0, 2, (a1_root - 1e-9, a1_root + 1e-9), 3, nx=80)
     mid = rows[1]
     assert not mid.admissible
+    assert math.isfinite(mid.scalars[0])
+    assert abs(1.0 + mid.scalars[0]) <= ADMISSIBILITY_FLOOR
     assert math.isnan(mid.scalars[1])
-    assert not math.isnan(mid.scalars[0])
-    # and the strict path raises at that mu
-    U = r.upsilon_matrix(r.kernel_table(g, root, 1.0))
-    with pytest.raises(InadmissiblePairError):
-        r.phi_matrix(U, r.modal_basis(g, 2))
+    # and the build raises at that mu, with the scalar the scan recorded
+    with pytest.raises(InadmissiblePairError) as exc:
+        r.build_transform(r.kernel_table(r.make_grid(1.0, 80), mid.mu, 1.0), 2)
+    assert exc.value.index == 1
+    assert exc.value.value == mid.scalars[0]
 
 
 def test_scan_argument_validation():
@@ -206,7 +191,7 @@ def test_c0_against_power_iteration(exp1_tset):
     # power iteration on the weighted normal operator, independent of the
     # spectral-norm call used inside operator_norms
     wq = r.trapezoid_weights(exp1_tset.grid)
-    Tinv = np.eye(exp1_tset.grid.nx) - exp1_tset.phi
+    Tinv = np.eye(exp1_tset.grid.nx) - dense_transform(exp1_tset)[1]
     s = np.sqrt(wq)
     B = (Tinv * s[:, None]) / s[None, :]
     v = np.full(exp1_tset.grid.nx, 1.0)
@@ -275,7 +260,7 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     inv = r.inverse_transform(tset, v)
     assert np.max(np.abs(inv - (v - phi_apply_recursive(U, basis, v)))) <= 1e-12 * scale
     assert np.max(np.abs(r.forward_transform(tset, v) - T @ v)) <= 1e-12 * scale
-    assert np.max(np.abs(tset.phi - Phi)) <= 1e-12 * max(1.0, np.max(np.abs(Phi)))
+    assert np.max(np.abs(dense_transform(tset)[1] - Phi)) <= 1e-12 * max(1.0, np.max(np.abs(Phi)))
 
     # gain against the direct quadrature of k(L, y) against P_N (I - Phi_N)
     lead = r.trapezoid_weights(g) * kern.boundary_row()
@@ -311,7 +296,7 @@ def test_factored_build_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert "values" not in vars(kern)
-    assert not {"phi", "T", "upsilon"} & set(vars(tset))
+    assert max(getattr(v, "size", 0) for v in vars(tset).values()) < g.nx**2
     assert "matrix" not in vars(tset.P)
 
 
@@ -374,7 +359,7 @@ def test_inverse_residual_matches_dense(exp2_tset, monkeypatch, row):
     X = tset.X.copy()
     X[row] += 1e-3
     eye = np.eye(nx)
-    dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ tset.T - eye))
+    dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ dense_transform(tset)[0] - eye))
     assert dense > 1e-6
     got = r.transform._inverse_residual(tset.UW, X, tset.basis)
     assert got == pytest.approx(dense, rel=1e-10)
