@@ -7,6 +7,7 @@ onto process exit codes; see ``rdstab.cli``.
 """
 
 import math
+import numbers
 import os
 from typing import Optional
 
@@ -110,11 +111,14 @@ class FitError(SolverError):
 
 
 def check_scalars(positive=(), **values: float) -> None:
-    """Reject non-finite values, and non-positive ones among ``positive``.
+    """Reject values that are not real numbers (bools included) or not finite,
+    and non-positive ones among ``positive``.
 
     Raises :class:`InvalidParameterError` naming the first offending value.
     """
     for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value}")
     for name in positive:

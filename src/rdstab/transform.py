@@ -18,25 +18,30 @@ P_N = dx W W^T has rank N, so the whole transform is kept as nx x N
 factors: T = I + UW (dx W^T) with UW = Upsilon W, and Phi_j = X_j (dx W_j^T)
 with the recursion run on X alone.  UW comes from the kernel's series
 coefficients and mu-free Volterra moments (``_volterra_moments``), so no
-kernel table is formed: the moments cost O(nx^2 M N) once per grid, mode
-count and order M, and each mu then costs O(nx N M).  An admissibility scan
-forms them once for all its samples.  Building, applying and measuring the
-transform needs no nx x nx temporary, and ``TransformSet`` holds the factors
-alone.  One recursion (``_phi_recursion``) serves both ``build_transform``,
-which raises at the first inadmissible a_j, and ``scan_admissibility``, which
-reports it.  ``upsilon_matrix``, the dense Upsilon read from the kernel table,
-is the one dense reference kept here.
+kernel table is formed.  The moments sum the triangle directly only inside
+row blocks of MOMENT_BLOCK = b rows and reach the columns before a block
+through Taylor-shifted sums: they cost O(nx M (b + M) N) time and
+O(nx M N) memory once per grid, mode count and order M, and each mu then
+costs O(nx N M).  An admissibility scan forms them once for all its samples.
+The inverse identity is checked through a certified upper bound on its
+residual in O(nx N).  Building, applying and measuring the transform needs
+no nx x nx temporary and no O(nx^2) work, and ``TransformSet`` holds the
+factors alone.  One recursion (``_phi_recursion``) serves both
+``build_transform``, which raises at the first inadmissible a_j, and
+``scan_admissibility``, which reports it.  ``upsilon_matrix``, the dense
+Upsilon read from the kernel table, is the one dense reference kept here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .constants import ADMISSIBILITY_FLOOR, BLOCK_ENTRIES, INVERSE_TOL
+from .constants import ADMISSIBILITY_FLOOR, INVERSE_TOL
 from .errors import InadmissiblePairError, InvalidParameterError, SolverError
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
@@ -70,44 +75,76 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
     return U
 
 
+# Rows per block of the Volterra moments: the triangle inside a block is
+# summed directly, the columns before it through Taylor-shifted sums.
+MOMENT_BLOCK = 128
+
+
+def _powers(v: np.ndarray, order: int) -> np.ndarray:
+    """v^p for p = 0..order by repeated multiplication, shape (order + 1,) + v.shape.
+
+    Row p is formed by the same p - 1 products whatever ``order`` is.
+    """
+    out = np.empty((order + 1,) + np.shape(v))
+    out[0] = 1.0
+    out[1:] = v
+    return np.cumprod(out, axis=0, out=out)
+
+
 def _volterra_moments(basis: ModalBasis, order: int) -> np.ndarray:
     """The mu-free moments M_0..M_order of the Volterra operator, shape (order + 1, nx, N).
 
     k(x_i, y_j) = -(mu / (2 nu)) y_j sum_m c_m zeta_ij^m with
-    zeta = (x^2 - y^2) / L^2, so Upsilon W = -(mu / (2 nu)) sum_m c_m M_m with
+    zeta_ij = a_i - a_j and a = x^2 / L^2, so
+    Upsilon W = -(mu / (2 nu)) sum_m c_m M_m with
 
-        M_0 = cumulative trapezoid of y W (half weight on the diagonal),
-        M_m = dx strict_tril(zeta^m) (y W),   m >= 1,
+        M_0 = cumulative trapezoid of f = dx y W (half weight on the diagonal),
+        M_m = strict_tril(zeta^m) f,   m >= 1,
 
-    which depend only on the grid, the modes and m.  The powers of zeta run
-    over the lower triangle in row blocks of about BLOCK_ENTRIES entries,
-    in buffers allocated once.  O(nx^2 M N) work and O(nx M N) memory.
+    which depend only on the grid, the modes and m.  The rows run in blocks
+    of MOMENT_BLOCK.  For a block starting at node s, the columns before it
+    contribute, by the binomial theorem,
+
+        sum_{j<s} (a_i - a_j)^m f_j = sum_l C(m, l) (a_i - a_s)^(m-l) S_l,
+        S_l = sum_{j<s} (a_s - a_j)^l f_j,
+
+    and S moves to the next block start by the same shift.  Every weight is
+    nonnegative, so the shift cancels nothing the direct sum does not.  Only
+    the triangle inside the block is summed directly.  Each array that feeds
+    M_m has a shape fixed by m, so M_m is the same bit for bit whatever
+    ``order`` is (a scan forms its moments once, to its largest order).
+    O(nx M (b + M) N) work for block size b and O(nx M N) memory.
     """
     g = basis.grid
-    y = g.nodes
-    L2 = g.length**2
-    f = g.dx * y[:, None] * basis.W
+    a = (g.nodes / g.length) ** 2
+    f = g.dx * g.nodes[:, None] * basis.W
     moments = np.empty((order + 1, g.nx, basis.n_modes))
     moments[0] = np.cumsum(f, axis=0) - 0.5 * f
     if order == 0:
         return moments
-    rows = max(1, BLOCK_ENTRIES // g.nx)
-    zeta_buf = np.empty(min(rows, g.nx) * g.nx)
-    power_buf = np.empty_like(zeta_buf)
-    for start in range(0, g.nx, rows):
-        stop = min(start + rows, g.nx)
-        zeta = zeta_buf[: (stop - start) * stop].reshape(stop - start, stop)
-        power = power_buf[: zeta.size].reshape(zeta.shape)
-        x = y[start:stop, None]
-        np.multiply(x - y[:stop], x + y[:stop], out=zeta)
-        zeta /= L2
-        # zeta is 0 on the diagonal and negative above it: strict_tril
-        np.maximum(zeta[:, start:], 0.0, out=zeta[:, start:])
-        np.copyto(power, zeta)
+    binom = np.array([[math.comb(m, l) for l in range(order + 1)] for m in range(order + 1)],
+                     dtype=float)
+    S = np.zeros((order + 1, basis.n_modes))
+    for start in range(0, g.nx, MOMENT_BLOCK):
+        stop = min(start + MOMENT_BLOCK, g.nx)
+        a_blk, f_blk = a[start:stop], f[start:stop]
+        zeta = np.maximum(a_blk[:, None] - a_blk, 0.0)
+        power = zeta.copy()
+        shift = _powers(a_blk - a[start], order).T
         for m in range(1, order + 1):
             if m > 1:
                 power *= zeta
-            np.matmul(power, f[:stop], out=moments[m, start:stop])
+            block = moments[m, start:stop]
+            np.matmul(power, f_blk, out=block)
+            if start:
+                block += (binom[m, : m + 1] * shift[:, m::-1]) @ S[: m + 1]
+        if stop < g.nx:
+            step = _powers(a[stop] - a[start], order)
+            tail = _powers(a[stop] - a_blk, order)
+            S_next = np.empty_like(S)
+            for l in range(order + 1):
+                S_next[l] = (binom[l, : l + 1] * step[l::-1]) @ S[: l + 1] + tail[l] @ f_blk
+            S = S_next
     return moments
 
 
@@ -156,7 +193,8 @@ class TransformSet:
 
     T = I + UW (dx W^T) with UW = Upsilon W, and Phi_N = X (dx W^T).
     ``admissibility`` holds the recursion scalars a_1..a_N;
-    ``inverse_residual`` is ||(I - Phi) T - I||_max measured at build time.
+    ``inverse_residual`` is a certified upper bound on ||(I - Phi) T - I||_max,
+    formed at build time (exact for N = 1).
     """
 
     grid: Grid
@@ -173,33 +211,28 @@ class TransformSet:
 
 
 def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float:
-    """max |(I - Phi) T - I| = max |[UW - X - X (dx W^T UW)] (dx W^T)|.
+    """Certified upper bound on max |(I - Phi) T - I|, in O(nx N).
 
-    The rank-N product is expanded in row blocks of about BLOCK_ENTRIES
-    entries, so no nx x nx array is formed.  NaN propagates.
+    (I - Phi) T - I = R (dx W^T) with R = UW - X - X (dx W^T UW), so no
+    entry exceeds max_i sum_k |R_ik| times max |dx W|.  For N = 1 the bound
+    is the max itself.  NaN propagates.
     """
-    dxWt = basis.grid.dx * basis.W.T
-    R = UW - X - X @ (dxWt @ UW)
-    rows = max(1, BLOCK_ENTRIES // basis.grid.nx)
-    buf = np.empty((min(rows, R.shape[0]), R.shape[0]))
-    peaks = []
-    for i in range(0, R.shape[0], rows):
-        R_rows = R[i : i + rows]
-        block = buf[: R_rows.shape[0]]
-        np.matmul(R_rows, dxWt, out=block)
-        peaks.append(np.max(np.abs(block, out=block)))
-    return float(np.max(peaks))
+    dxW = basis.grid.dx * basis.W
+    R = UW - X - X @ (dxW.T @ UW)
+    return float(np.max(np.sum(np.abs(R), axis=1)) * np.max(np.abs(dxW)))
 
 
 def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
-    """Build the factored transform set from the kernel's coefficients in O(nx^2 M N).
+    """Build the factored transform set from the kernel's coefficients in O(nx M (b + M) N).
 
-    UW is contracted from Volterra moments to the kernel's order M.
+    UW is contracted from Volterra moments to the kernel's order M, with
+    b = MOMENT_BLOCK.
 
     Raises InadmissiblePairError when some |1 + a_j| <= ADMISSIBILITY_FLOOR.
-    Verifies the inverse identity to INVERSE_TOL in the max norm; failure
-    (or a NaN residual) indicates a near-inadmissible pair or a resolution
-    problem and is reported as a solver error.
+    Verifies the inverse identity to INVERSE_TOL in the max norm through a
+    certified upper bound on the residual, which can only over-report;
+    failure (or a NaN bound) indicates a near-inadmissible pair or a
+    resolution problem and is reported as a solver error.
     """
     g = kernel.grid
     basis = modal_basis(g, n_modes)

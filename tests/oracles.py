@@ -13,6 +13,9 @@ a transform set's nx x N factors into the dense T and Phi_N.
 ``truncate_order`` and ``kernel_table`` are the two-pass kernel set-up that
 ``rdstab.kernel.kernel_table`` replaced: the order is found by one loop, then
 the coefficients and the achieved gap are formed again to that order.
+``volterra_moments`` forms the mu-free Volterra moments by direct sums over
+the strict lower triangle, against which ``rdstab.transform`` checks its
+Taylor-shifted blocks.
 """
 
 import math
@@ -22,6 +25,7 @@ import numpy as np
 
 from rdstab.constants import (
     ADMISSIBILITY_FLOOR,
+    BLOCK_ENTRIES,
     DEFAULT_KERNEL_TOL,
     DEFAULT_NEWTON_MAX_ITER,
     DEFAULT_NEWTON_TOL,
@@ -301,3 +305,39 @@ def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
         grid=grid,
         achieved_delta=achieved,
     )
+
+
+def volterra_moments(basis: ModalBasis, order: int) -> np.ndarray:
+    """The mu-free Volterra moments M_0..M_order by direct sums, shape (order + 1, nx, N).
+
+    M_0 is the cumulative trapezoid of y W (half weight on the diagonal) and
+    M_m = dx strict_tril(zeta^m) (y W) for m >= 1, with
+    zeta = (x^2 - y^2) / L^2.  The powers of zeta run over the lower triangle
+    in row blocks of about BLOCK_ENTRIES entries: O(nx^2 M N) work.
+    """
+    g = basis.grid
+    y = g.nodes
+    L2 = g.length**2
+    f = g.dx * y[:, None] * basis.W
+    moments = np.empty((order + 1, g.nx, basis.n_modes))
+    moments[0] = np.cumsum(f, axis=0) - 0.5 * f
+    if order == 0:
+        return moments
+    rows = max(1, BLOCK_ENTRIES // g.nx)
+    zeta_buf = np.empty(min(rows, g.nx) * g.nx)
+    power_buf = np.empty_like(zeta_buf)
+    for start in range(0, g.nx, rows):
+        stop = min(start + rows, g.nx)
+        zeta = zeta_buf[: (stop - start) * stop].reshape(stop - start, stop)
+        power = power_buf[: zeta.size].reshape(zeta.shape)
+        x = y[start:stop, None]
+        np.multiply(x - y[:stop], x + y[:stop], out=zeta)
+        zeta /= L2
+        # zeta is 0 on the diagonal and negative above it: strict_tril
+        np.maximum(zeta[:, start:], 0.0, out=zeta[:, start:])
+        np.copyto(power, zeta)
+        for m in range(1, order + 1):
+            if m > 1:
+                power *= zeta
+            np.matmul(power, f[:stop], out=moments[m, start:stop])
+    return moments

@@ -319,6 +319,23 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, name",
+        [
+            ({"tmax": "abc"}, "tmax"),
+            ({"nu": "1"}, "nu"),
+            ({"mu": None}, "mu"),
+            ({"alpha": [1.0]}, "alpha"),
+            ({"length": True}, "length"),
+            ({"model": "nonlinear", "newton_tol": "x"}, "newton_tol"),
+        ],
+    )
+    def test_non_real_config_value(self, raw, name, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"nx": 20, "nt": 5, **raw}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"{name} must be a real number" in capsys.readouterr().err
+
     def test_forcing_refused_from_config(self, tmp_path, capsys):
         # a callable cannot come from JSON
         cfg = tmp_path / "bad.json"

@@ -74,6 +74,18 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
             cfg(**{name: value}).validate()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("nu", "1"), ("alpha", None), ("mu", [6.0]), ("length", True), ("tmax", "abc"),
+         ("newton_tol", "x")],
+    )
+    def test_rejects_non_real_scalars(self, name, value):
+        with pytest.raises(InvalidParameterError, match=f"{name} must be a real number"):
+            cfg(**{name: value}).validate()
+
+    def test_accepts_integer_and_numpy_scalars(self):
+        cfg(nu=1, alpha=np.float32(2.0), mu=np.int64(6), tmax=np.float64(0.5)).validate()
+
     def test_accepts_numpy_integer_counts(self):
         cfg(nx=np.int64(60), nt=np.int32(40), n_modes=np.int16(2),
             newton_max_iter=np.int64(5)).validate()

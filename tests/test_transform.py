@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import j1
 
 import rdstab as r
-from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
+from rdstab.constants import ADMISSIBILITY_FLOOR, KERNEL_MAX_ORDER, REFERENCE_SCALAR_TOL
 from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
-from oracles import dense_transform, phi_apply_recursive
+from oracles import dense_transform, phi_apply_recursive, volterra_moments
 
 # continuum values of the admissibility scalars, computed independently from
 # the Bessel closed form of the kernel with adaptive double quadrature
@@ -325,7 +325,7 @@ def test_moment_upsilon_matches_dense_oracle(mu, nx, n_modes):
 def test_moment_upsilon_matches_dense_oracle_at_large_mu(monkeypatch):
     # mu = 150 has alternating coefficients up to ~800 (order 25); 7-row
     # blocks with a ragged tail exercise the blocking
-    monkeypatch.setattr(r.transform, "BLOCK_ENTRIES", 7 * 300)
+    monkeypatch.setattr(r.transform, "MOMENT_BLOCK", 7)
     gap, bound = _moment_upsilon_gap(150.0, 300, 3)
     assert gap <= bound
     kern = r.kernel_table(r.make_grid(1.0, 300), 150.0, 1.0)
@@ -350,16 +350,78 @@ def test_scan_rows_equal_builds_bit_for_bit():
 
 
 @pytest.mark.parametrize("row", [0, 14, 199])
-def test_inverse_residual_matches_dense(exp2_tset, monkeypatch, row):
-    # 7-row blocks with a ragged tail; a wrong inverse factor in one row puts
-    # the residual far above roundoff, in that row only
-    tset = exp2_tset
-    nx = tset.grid.nx
-    monkeypatch.setattr(r.transform, "BLOCK_ENTRIES", 7 * nx)
-    X = tset.X.copy()
-    X[row] += 1e-3
-    eye = np.eye(nx)
-    dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ dense_transform(tset)[0] - eye))
-    assert dense > 1e-6
-    got = r.transform._inverse_residual(tset.UW, X, tset.basis)
-    assert got == pytest.approx(dense, rel=1e-10)
+def test_inverse_residual_matches_dense(exp2_kernel, row):
+    # a wrong inverse factor in one row puts the residual far above roundoff;
+    # the bound never reads below the dense residual, and for N = 1 it is the
+    # dense residual itself
+    for n_modes in (1, 2, 3):
+        tset = r.build_transform(exp2_kernel, n_modes)
+        nx = tset.grid.nx
+        X = tset.X.copy()
+        X[row] += 1e-3
+        eye = np.eye(nx)
+        T = dense_transform(tset)[0]
+        dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ T - eye))
+        assert dense > 1e-6
+        got = r.transform._inverse_residual(tset.UW, X, tset.basis)
+        assert got >= dense * (1.0 - 1e-10)
+        if n_modes == 1:
+            assert got == pytest.approx(dense, rel=1e-10)
+
+
+def _moment_gap(nx, mu, n_modes):
+    """Largest gap of the shifted moments to the direct sums, relative to each moment's max."""
+    basis = r.modal_basis(r.make_grid(1.0, nx), n_modes)
+    order = r.kernel_table(basis.grid, mu, 1.0).order
+    got = r.transform._volterra_moments(basis, order)
+    ref = volterra_moments(basis, order)
+    return max(np.max(np.abs(got[m] - ref[m])) / np.max(np.abs(ref[m])) for m in range(order + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(12, 300),
+    mu=st.floats(0.0, 150.0),
+    n_modes=st.integers(1, 3),
+    block=st.sampled_from([1, 2, 7, 64, 128, 1000]),
+)
+# always: one row per block, a ragged tail, exact blocks, one block, at the
+# largest mu
+@example(nx=60, mu=150.0, n_modes=3, block=1)
+@example(nx=300, mu=150.0, n_modes=3, block=7)
+@example(nx=256, mu=150.0, n_modes=3, block=128)
+@example(nx=300, mu=150.0, n_modes=3, block=1000)
+def test_shifted_moments_match_direct_sums(nx, mu, n_modes, block):
+    # block 1 leaves nothing to the direct triangle, 7 and 64 leave a ragged
+    # tail for most nx, and 1000 >= nx sums everything directly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(r.transform, "MOMENT_BLOCK", block)
+        assert _moment_gap(nx, mu, n_modes) <= 1e-13
+
+
+def test_moment_m_independent_of_order(monkeypatch):
+    # the scan forms its moments to its largest order, a build to its own:
+    # moment m must not depend on which
+    monkeypatch.setattr(r.transform, "MOMENT_BLOCK", 16)
+    basis = r.modal_basis(r.make_grid(1.0, 150), 3)
+    full = r.transform._volterra_moments(basis, KERNEL_MAX_ORDER)
+    assert np.all(np.isfinite(full))
+    for m in (0, 1, 2, 3, 5, 8, 12, 19, 25, 40, 77, 150, KERNEL_MAX_ORDER):
+        assert np.array_equal(r.transform._volterra_moments(basis, m)[m], full[m])
+
+
+def test_setup_memory_linear_in_nx():
+    # kernel, build and gain at nx = 64000 allocate at most twice the
+    # moments' 8 nx N (M + 1) bytes: no nx x nx array, and no nx x MOMENT_BLOCK
+    # one (65 MB here)
+    nx, n_modes = 64000, 2
+    g = r.make_grid(1.0, nx)
+    tracemalloc.start()
+    try:
+        kern = r.kernel_table(g, 15.0, 1.0)
+        tset = r.build_transform(kern, n_modes)
+        r.feedback_gain(kern, tset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * nx * n_modes * (kern.order + 1)
