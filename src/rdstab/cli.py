@@ -36,7 +36,7 @@ from .errors import (
 )
 from .grid import make_grid
 from .kernel import check_table_fits, kernel_table
-from .simulator import SimulationConfig, Trajectory, run_simulation
+from .simulator import DYNAMICS_MODES, SimulationConfig, Trajectory, run_simulation
 from .transform import scan_admissibility, sign_change_brackets
 
 __all__ = [
@@ -50,19 +50,19 @@ __all__ = [
 EXPERIMENT_PRESETS = {
     "exp1": dict(
         nu=1.0, alpha=12.0, mu=6.0, n_modes=1, length=1.0, tmax=1.5,
-        model="linear", dynamics="paper_faithful", control="feedback", u0="exp1",
+        model="linear", dynamics="closed_loop", u0="exp1",
     ),
     "exp1_uncontrolled": dict(
         nu=1.0, alpha=12.0, mu=6.0, n_modes=1, length=1.0, tmax=1.5,
-        model="linear", dynamics="plant", control="off", u0="exp1",
+        model="linear", dynamics="open_loop", u0="exp1",
     ),
     "exp2": dict(
         nu=1.0, alpha=15.0, mu=15.0, n_modes=2, length=1.0, tmax=3.0,
-        model="nonlinear", dynamics="paper_faithful", control="feedback", u0="exp2",
+        model="nonlinear", dynamics="closed_loop", u0="exp2",
     ),
     "exp2_uncontrolled": dict(
         nu=1.0, alpha=15.0, mu=15.0, n_modes=2, length=1.0, tmax=3.0,
-        model="nonlinear", dynamics="plant", control="off", u0="exp2",
+        model="nonlinear", dynamics="open_loop", u0="exp2",
     ),
 }
 
@@ -148,7 +148,7 @@ def run_experiment(
     config = SimulationConfig(nx=nx, nt=nt, **fields)
     report = design_fixed(
         fields["nu"], fields["alpha"], fields["mu"], fields["n_modes"],
-        fields["length"], smallness=(fields["model"] == "nonlinear"),
+        fields["length"], nx=nx, smallness=(fields["model"] == "nonlinear"),
     )
     trajectory = run_simulation(config)
     fit = fit_decay_rate(trajectory)
@@ -263,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nt", type=int, default=None, help="number of time levels")
     p.add_argument("--tmax", type=float, default=None, help="time horizon")
     p.add_argument("--model", choices=["linear", "nonlinear"], default=None)
-    p.add_argument("--dynamics", choices=["paper", "plant", "target"], default=None)
-    p.add_argument("--control", choices=["feedback", "off"], default=None)
+    p.add_argument("--dynamics", choices=DYNAMICS_MODES, default=None)
     p.add_argument("--u0", default=None, help="initial-condition preset (exp1, exp2)")
     p.add_argument("--config", default=None, metavar="FILE", help="JSON config file")
     p.add_argument("--full-state", action="store_true", help="also write state.csv")
@@ -308,6 +307,9 @@ def _load_config(args) -> SimulationConfig:
         raw = json.loads(Path(args.config).read_text())
         if not isinstance(raw, dict):
             raise InvalidParameterError(f"config file {args.config} must hold a JSON object")
+        if "control" in raw:
+            raise InvalidParameterError("config key 'control' was folded into 'dynamics': "
+                                        "use closed_loop (feedback) or open_loop (off)")
         known = set(SimulationConfig.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -318,10 +320,8 @@ def _load_config(args) -> SimulationConfig:
     overrides = {
         "nu": args.nu, "alpha": args.alpha, "mu": args.mu, "n_modes": args.modes,
         "length": args.length, "nx": args.nx, "nt": args.nt, "tmax": args.tmax,
-        "model": args.model, "control": args.control, "u0": args.u0,
+        "model": args.model, "dynamics": args.dynamics, "u0": args.u0,
     }
-    if args.dynamics is not None:
-        overrides["dynamics"] = "paper_faithful" if args.dynamics == "paper" else args.dynamics
     fields.update({k: v for k, v in overrides.items() if v is not None})
     fields.setdefault("nu", CLI_DEFAULTS["nu"])
     fields.setdefault("alpha", CLI_DEFAULTS["alpha"])

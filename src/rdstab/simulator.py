@@ -1,19 +1,18 @@
 """Crank-Nicolson time stepping for the closed-loop reaction-diffusion model.
 
 The semi-discrete system is u' + A u = 0 (plus the cubic term for the
-nonlinear model) with A = -nu*Laplacian - alpha*I, optionally augmented by
-the modal damping term mu*P_N.  Three dynamics modes are supported:
+nonlinear model) with A = -nu*Laplacian - alpha*I.  Three dynamics modes are
+supported:
 
-* ``paper_faithful``: A includes mu*P_N and the right boundary carries the
-  feedback (both stabilizing mechanisms at once).
-* ``plant``: A without mu*P_N; the closed loop acts through the boundary
-  feedback only.
-* ``target``: A with mu*P_N and homogeneous Dirichlet boundary; feedback
-  is rejected since the target model has none.
+* ``closed_loop`` (the default): the plant with the backstepping feedback
+  acting from the right boundary only.
+* ``open_loop``: the same plant with u_L = 0.
+* ``target``: A augmented by the modal damping term mu*P_N, with
+  homogeneous Dirichlet boundary.
 
 Each step solves (I + dt/2 A) u^{n+1} = (I - dt/2 A) u^n on the interior
-rows.  The first row imposes u_0 = 0; under feedback the last row imposes the
-boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and without it u_L = 0.
+rows.  The first row imposes u_0 = 0; in the closed loop the last row imposes
+the boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and otherwise u_L = 0.
 The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
 balance and resolves each step by Newton's method on the same operator.
 A step stops when max|du| <= newton_tol, or one solve earlier when a certified
@@ -21,12 +20,12 @@ bound shows that the next correction would be at most newton_tol: the cubic
 remainder of an update is known exactly, and ||C^{-1}||_inf is bounded once
 per run from the M-matrix tridiagonal core and the Woodbury factors.
 
-The closed-loop operator is a tridiagonal core plus the rank-N term mu*P_N
-and, under feedback, the rank-one gain row, and every solve goes through the
-Woodbury identity in O(nx*N).  A linear run factors the core once (LAPACK
-gttrf) and folds the low-rank correction into one nx x k matrix, so a step is
-one gttrs plus two thin products.  A Newton iteration shifts the diagonal, so
-it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
+The operator is a tridiagonal core plus a low-rank term of rank k <= N: the
+rank-one gain row in the closed loop, mu*P_N in the target.  Every solve goes
+through the Woodbury identity in O(nx*N).  A linear run factors the core once
+(LAPACK gttrf) and folds the low-rank correction into one nx x k matrix, so a
+step is one gttrs plus two thin products.  A Newton iteration shifts the
+diagonal, so it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
 """
 
 from __future__ import annotations
@@ -61,9 +60,13 @@ __all__ = [
     "run_target_consistency",
 ]
 
-DYNAMICS_MODES = ("paper_faithful", "plant", "target")
+DYNAMICS_MODES = ("closed_loop", "open_loop", "target")
 MODELS = ("linear", "nonlinear")
-CONTROL_MODES = ("feedback", "off")
+# dynamics modes of earlier releases, and what replaced them
+_RETIRED_DYNAMICS = {
+    "paper_faithful": "it was retired; use closed_loop, which leaves mu*P_N out of the plant",
+    "plant": "it was retired; use closed_loop (boundary feedback) or open_loop (u_L = 0)",
+}
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,7 @@ class SimulationConfig:
     nt: int = 200
     tmax: float = 1.0
     model: str = "linear"
-    dynamics: str = "paper_faithful"
-    control: str = "feedback"
+    dynamics: str = "closed_loop"
     u0: Union[str, dict, np.ndarray, Callable] = "exp1"
     newton_tol: float = DEFAULT_NEWTON_TOL
     newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER
@@ -116,17 +118,10 @@ class SimulationConfig:
         if self.model not in MODELS:
             raise InvalidParameterError(f"unknown model {self.model!r}")
         if self.dynamics not in DYNAMICS_MODES:
-            raise InvalidParameterError(f"unknown dynamics mode {self.dynamics!r}")
-        if self.control not in CONTROL_MODES:
-            raise InvalidParameterError(f"unknown control mode {self.control!r}")
-        if self.control == "feedback":
-            if self.dynamics == "target":
-                raise InvalidParameterError(
-                    "the target dynamics has homogeneous boundary conditions; "
-                    "combine control='feedback' with 'paper_faithful' or 'plant'"
-                )
-            if self.n_modes < 1:
-                raise InvalidParameterError("feedback control needs at least one mode")
+            hint = _RETIRED_DYNAMICS.get(self.dynamics, "choose from " + ", ".join(DYNAMICS_MODES))
+            raise InvalidParameterError(f"unknown dynamics mode {self.dynamics!r}; {hint}")
+        if self.dynamics == "closed_loop" and self.n_modes < 1:
+            raise InvalidParameterError("the closed loop needs at least one mode")
         if self.newton_max_iter < 1:
             raise InvalidParameterError("Newton iteration budget must be at least 1")
         if self.forcing is not None and self.model != "linear":
@@ -139,8 +134,8 @@ class SimulationConfig:
 class Trajectory:
     """Time history of one run.
 
-    ``controls[n]`` is the feedback value g(u^n) of level n (zero without
-    feedback).  The boundary law is implicit, so ``states[n, -1]`` equals it
+    ``controls[n]`` is the feedback value g(u^n) of level n (zero outside
+    the closed loop).  The boundary law is implicit, so ``states[n, -1]`` equals it
     to rounding for n >= 1; the initial state need not satisfy it.
     ``newton_iters[n]`` counts the Newton solves that produced level n (zero
     for linear runs and at n = 0); a step that the certified bound stops
@@ -215,13 +210,13 @@ def _capacitance_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Closed-loop Crank-Nicolson operator C = I + dt/2 A of one run.
+    """Crank-Nicolson operator C = I + dt/2 A of one run.
 
     C is a tridiagonal core with identity constraint rows plus the low-rank
-    term U V^T.  With mu*P_N present, U holds W with its boundary rows zeroed
-    and V holds dt/2 mu dx W; under feedback, U gains e_L and V gains -gain,
-    so the last row reads u_L - g(u).  ``solve`` applies the Woodbury identity,
-    k = rank(U) <= N + 1.  The core is factored once (gttrf) and
+    term U V^T, none in the open loop.  In the closed loop U = e_L and
+    V = -gain, so the last row reads u_L - g(u); in the target U holds W with
+    its boundary rows zeroed and V holds dt/2 mu dx W.  ``solve`` applies the
+    Woodbury identity, k = rank(U) <= N.  The core is factored once (gttrf) and
     ZS = C_core^{-1} U (I + V^T C_core^{-1} U)^{-1} is formed once, so a linear
     step is one gttrs plus ZS (V^T y).  A Newton shift changes the core, so
     each iteration is one gtsv on the Fortran-ordered block [rhs, U] and a
@@ -245,26 +240,24 @@ class _Stepper:
         diag[0] = diag[-1] = 1.0
         sub[-1] = sup[0] = 0.0
         self.tri = Tridiagonal(sub=sub, diag=diag, sup=sup)
-        U, V = [], []
-        if config.dynamics in ("paper_faithful", "target") and config.mu != 0.0:
-            W = P.basis.W
-            U.append(_interior(W.copy()))
-            V.append(h * config.mu * grid.dx * W)
+        self.U = self.V = self.ZS = None
         if gain is not None:
-            e_L = np.zeros((grid.nx, 1))
-            e_L[-1] = 1.0
-            U.append(e_L)
-            V.append(-gain[:, None])
-        self.U = np.hstack(U) if U else None
-        self.V = np.hstack(V) if V else None
+            self.U = np.zeros((grid.nx, 1))
+            self.U[-1] = 1.0
+            self.V = -gain[:, None]
+        elif config.dynamics == "target" and config.mu != 0.0:
+            W = P.basis.W
+            self.U = _interior(W.copy())
+            self.V = h * config.mu * grid.dx * W
         self.lu = _lapack(dgttrf, sub, diag, sup)
-        self.ZS = None
+        columns = [np.zeros(grid.nx)]
         if self.U is not None:
             self.eye = np.eye(self.U.shape[1])
             (Z,) = _lapack(dgttrs, *self.lu, self.U)
             self.ZS = _capacitance_solve((self.eye + self.V.T @ Z).T, Z.T).T
+            columns.append(self.U)
         # gtsv's right-hand sides [rhs, U] in Fortran order; column 0 takes each rhs
-        self.block = np.asfortranarray(np.column_stack([np.zeros(grid.nx), *U]))
+        self.block = np.asfortranarray(np.column_stack(columns))
         self.inv_bound = self._inverse_bound() if config.model == "nonlinear" else math.inf
 
     def _inverse_bound(self) -> float:
@@ -281,7 +274,8 @@ class _Stepper:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.tri.matvec(v)
         if self.U is not None:
-            out += self.U @ (self.V.T @ v)
+            # np.dot, not @: matmul of an (nx, 1) U and a vector is ~3x slower at nx = 2000
+            out += np.dot(self.U, np.dot(v, self.V))
         return out
 
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
@@ -289,7 +283,7 @@ class _Stepper:
         if shift is None:
             (y,) = _lapack(dgttrs, *self.lu, rhs)
             if self.ZS is not None:
-                y -= self.ZS @ (self.V.T @ y)
+                y -= np.dot(self.ZS, np.dot(y, self.V))
             return y
         d = self.tri.diag.copy()
         d[1:-1] += shift[1:-1]
@@ -301,7 +295,7 @@ class _Stepper:
             return y
         YU = X[:, 1:]
         S = self.eye + self.V.T @ YU
-        return y - YU @ _capacitance_solve(S, self.V.T @ y)
+        return y - np.dot(YU, _capacitance_solve(S, np.dot(y, self.V)))
 
 
 def _package(grid, times, states, iters, gain) -> Trajectory:
@@ -325,7 +319,7 @@ def run_simulation(config: SimulationConfig) -> Trajectory:
     config.validate()
     grid = make_grid(config.length, config.nx)
     u0 = initial_state(config, grid)
-    gain = _feedback_row(config, grid) if config.control == "feedback" else None
+    gain = _feedback_row(config, grid) if config.dynamics == "closed_loop" else None
     return _march(config, grid, u0, gain)
 
 
@@ -337,9 +331,9 @@ def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
 
 def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
            gain: Optional[np.ndarray]) -> Trajectory:
-    """March from u0 under ``config.dynamics``; ``gain`` is the feedback row or None."""
+    """March from u0 under ``config.dynamics``; ``gain`` is the closed loop's feedback row."""
     P = None
-    if config.dynamics in ("paper_faithful", "target"):
+    if config.dynamics == "target":
         P = projection_matrix(modal_basis(grid, config.n_modes))
     stepper = _Stepper(config, grid, P, gain)
     times = np.linspace(0.0, config.tmax, config.nt)
@@ -422,7 +416,7 @@ def _next_correction_bound(inv_bound: float, u: np.ndarray, du: np.ndarray, up2:
 
 
 def run_target_consistency(config: SimulationConfig):
-    """Run the feedback plant and the homogeneous target side by side.
+    """Run the closed loop and the homogeneous target side by side.
 
     Returns (plant trajectory, target trajectory, mismatch) where
     mismatch[n] = ||u^n - T w^n||_2 / ||u0||_2 with w0 = (I - Phi) u0.
@@ -437,7 +431,7 @@ def run_target_consistency(config: SimulationConfig):
         raise InvalidParameterError("zero initial state has no relative mismatch")
     kern = kernel_table(grid, config.mu, config.nu)
     tset = build_transform(kern, config.n_modes)
-    traj_u = _march(replace(config, dynamics="plant"), grid, u0, feedback_gain(kern, tset))
+    traj_u = _march(replace(config, dynamics="closed_loop"), grid, u0, feedback_gain(kern, tset))
     traj_w = _march(replace(config, dynamics="target"), grid, inverse_transform(tset, u0), None)
     mismatch = l2_norm(traj_u.states - forward_transform(tset, traj_w.states), grid) / denom
     return traj_u, traj_w, mismatch

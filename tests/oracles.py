@@ -2,11 +2,12 @@
 
 The marcher in ``rdstab.simulator`` solves a tridiagonal core plus a low-rank
 term; these oracles assemble the full nx x nx operator and call a dense solve,
-so a test can check the structured path against the plain one.  ``step_linear``
-takes the boundary value as an argument; ``step_nonlinear`` imposes the
-boundary law by a fixed point on the last row.  ``closed_loop_matrix`` is the
-dense operator C of one run.  ``newton_step_tol`` is the marcher's Newton loop
-with the plain max|du| <= newton_tol stop and no certified early stop.
+so a test can check the structured path against the plain one.
+``closed_loop_matrix`` is the dense operator C of one run, with the boundary
+law as its last row, and ``dense_newton_step`` resolves one step of the cubic
+model on it by Newton's method with dense solves.  ``newton_step_tol`` is the
+marcher's Newton loop with the plain max|du| <= newton_tol stop and no
+certified early stop.
 ``phi_apply_recursive`` applies Phi_N by a per-vector level scheme, independent
 of the factored recursion in ``rdstab.transform``; ``dense_transform`` expands
 a transform set's nx x N factors into the dense T and Phi_N.
@@ -27,11 +28,8 @@ from rdstab.constants import (
     ADMISSIBILITY_FLOOR,
     BLOCK_ENTRIES,
     DEFAULT_KERNEL_TOL,
-    DEFAULT_NEWTON_MAX_ITER,
-    DEFAULT_NEWTON_TOL,
     KERNEL_MAX_ORDER,
 )
-from rdstab.controller import feedback_gain
 from rdstab.errors import (
     ConvergenceError,
     DimensionError,
@@ -43,7 +41,7 @@ from rdstab.errors import (
 )
 from rdstab.grid import Grid, laplacian_matrix, trapezoid_weights
 from rdstab.kernel import Kernel
-from rdstab.simulator import CONTROL_MODES, DYNAMICS_MODES, SimulationConfig, _interior
+from rdstab.simulator import DYNAMICS_MODES, SimulationConfig, _interior
 from rdstab.spectral import ModalBasis, ProjectionMatrix
 from rdstab.transform import TransformSet
 
@@ -56,11 +54,11 @@ def assemble_A(
     P: Optional[ProjectionMatrix],
     dynamics: str,
 ) -> np.ndarray:
-    """Spatial operator -nu*Laplacian - alpha*I (+ mu*P), identity boundary rows."""
+    """Spatial operator -nu*Laplacian - alpha*I (+ mu*P for the target), identity boundary rows."""
     if dynamics not in DYNAMICS_MODES:
         raise InvalidParameterError(f"unknown dynamics mode {dynamics!r}")
     A = -nu * laplacian_matrix(grid).to_dense() - alpha * np.eye(grid.nx)
-    if dynamics in ("paper_faithful", "target"):
+    if dynamics == "target":
         if P is None:
             raise InvalidParameterError(f"dynamics {dynamics!r} needs a projection matrix")
         if P.basis.grid.nx != grid.nx:
@@ -89,71 +87,25 @@ def closed_loop_matrix(
     return C
 
 
-def _dirichlet_rows(C: np.ndarray) -> np.ndarray:
-    C[0, :] = 0.0
-    C[0, 0] = 1.0
-    C[-1, :] = 0.0
-    C[-1, -1] = 1.0
-    return C
+def dense_newton_step(C: np.ndarray, u: np.ndarray, config: SimulationConfig):
+    """One Crank-Nicolson step of the cubic model on the dense C; returns (u', solves).
 
-
-def step_linear(u: np.ndarray, A: np.ndarray, dt: float, boundary_value: float) -> np.ndarray:
-    """One Crank-Nicolson step of the linear model (reference dense solve)."""
-    n = A.shape[0]
-    if u.shape != (n,):
-        raise DimensionError(f"state length {u.shape} does not match operator size {n}")
-    C_plus = _dirichlet_rows(np.eye(n) + 0.5 * dt * A)
-    rhs = (np.eye(n) - 0.5 * dt * A) @ u
-    rhs[0] = 0.0
-    rhs[-1] = boundary_value
-    out = np.linalg.solve(C_plus, rhs)
-    out[0] = 0.0
-    out[-1] = boundary_value
-    return out
-
-
-def step_nonlinear(
-    u: np.ndarray,
-    A: np.ndarray,
-    dt: float,
-    tset: Optional[TransformSet],
-    kernel: Optional[Kernel],
-    control: str,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
-    newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER,
-):
-    """One step of the nonlinear model by Newton iteration (reference dense path).
-
-    Returns (u_next, iterations).  Under feedback the boundary value of each
-    new iterate is the feedback evaluated at the previous one, so the
-    constraint converges together with the interior update.
+    Solves C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows, while
+    C's own first and last rows keep u'_0 = 0 and u'_L = g(u') implicit in
+    every Newton update.  Stops when max|du| <= newton_tol.
     """
-    if control not in CONTROL_MODES:
-        raise InvalidParameterError(f"unknown control mode {control!r}")
-    if control == "feedback" and (tset is None or kernel is None):
-        raise InvalidParameterError("feedback control needs the kernel and transform")
-    n = A.shape[0]
-    if u.shape != (n,):
-        raise DimensionError(f"state length {u.shape} does not match operator size {n}")
-    gain = feedback_gain(kernel, tset) if control == "feedback" else None
-    C_plus = _dirichlet_rows(np.eye(n) + 0.5 * dt * A)
-    B = (np.eye(n) - 0.5 * dt * A) @ u - 0.5 * dt * u**3
+    dt = config.dt
+    interior = np.ones_like(u)
+    interior[0] = interior[-1] = 0.0
+    B = interior * (2.0 * u - C @ u - 0.5 * dt * u**3)
     up = u.copy()
     history = []
-    interior = np.arange(1, n - 1)
-    for p in range(newton_max_iter):
-        g_val = float(gain @ up) if gain is not None else 0.0
-        F = B - C_plus @ up - 0.5 * dt * up**3
-        F[0] = -up[0]
-        F[-1] = g_val - up[-1]
-        J = C_plus.copy()
-        J[interior, interior] += 1.5 * dt * up[interior] ** 2
-        du = np.linalg.solve(J, F)
+    for p in range(config.newton_max_iter):
+        F = B - C @ up - interior * (0.5 * dt * up**3)
+        du = np.linalg.solve(C + np.diag(interior * 1.5 * dt * up**2), F)
         up = up + du
-        delta = float(np.max(np.abs(du)))
-        history.append(delta)
-        if delta <= newton_tol:
-            up[0] = 0.0
+        history.append(float(np.max(np.abs(du))))
+        if history[-1] <= config.newton_tol:
             return up, p + 1
     raise NewtonDivergenceError(0, history)
 

@@ -225,7 +225,7 @@ def test_criterion_07_target_plant_consistency(capsys):
     def worst_mismatch(n):
         c = r.SimulationConfig(
             nu=1.0, alpha=12.0, mu=6.0, n_modes=1, nx=n, nt=n, tmax=1.5,
-            model="linear", dynamics="paper_faithful", control="feedback", u0="exp1",
+            model="linear", dynamics="closed_loop", u0="exp1",
         )
         _, _, mismatch = r.run_target_consistency(c)
         return float(np.max(mismatch))
@@ -247,7 +247,7 @@ def test_criterion_08_second_order_convergence(capsys):
     def mms_error(n):
         c = r.SimulationConfig(
             nu=1.0, alpha=2.0, mu=0.0, nx=n, nt=n, tmax=1.0,
-            model="linear", dynamics="plant", control="off",
+            model="linear", dynamics="open_loop",
             u0=lambda x: np.sin(np.pi * x),
             forcing=lambda x, t: (np.pi**2 - 3.0) * np.exp(-t) * np.sin(np.pi * x),
         )

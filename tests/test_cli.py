@@ -106,6 +106,26 @@ class TestRunExperiment:
         with pytest.raises(InvalidParameterError):
             run_experiment("exp3")
 
+    def test_design_uses_run_grid(self):
+        _, report, _ = run_experiment("exp1", nx=120, nt=20)
+        on_grid = r.design_fixed(1.0, 12.0, 6.0, 1, nx=120)
+        assert report.admissibility == on_grid.admissibility
+        assert report.admissibility != r.design_fixed(1.0, 12.0, 6.0, 1).admissibility
+
+    def test_exp1_rate_matches_target_abscissa(self):
+        # the closed loop acts from the boundary only, so it decays at the rate of
+        # its target, whose discrete spectrum is known in closed form:
+        # nu (4/dx^2) sin^2(j pi dx / 2L) - alpha + mu [j <= N], least at j = 1 or N + 1
+        p = EXPERIMENT_PRESETS["exp1"]
+        _, _, fit = run_experiment("exp1", nx=250, nt=250)
+        dx = p["length"] / 249
+        abscissa = min(
+            p["nu"] * 4.0 / dx**2 * math.sin(j * math.pi * dx / (2.0 * p["length"])) ** 2
+            - p["alpha"] + (p["mu"] if j <= p["n_modes"] else 0.0)
+            for j in (1, p["n_modes"] + 1)
+        )
+        assert fit.rate == pytest.approx(abscissa, rel=1e-4)
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
@@ -197,7 +217,7 @@ class TestMainInProcess:
     def test_simulate_with_flags(self, tmp_path, capsys):
         rc = main([
             "simulate", "--alpha", "12", "--mu", "6", "--nx", "60", "--nt", "40",
-            "--tmax", "0.5", "--dynamics", "paper", "--control", "feedback",
+            "--tmax", "0.5", "--dynamics", "closed_loop",
             "--u0", "exp1", "--out", str(tmp_path),
         ])
         assert rc == 0
@@ -210,7 +230,7 @@ class TestMainInProcess:
     def test_simulate_full_state(self, tmp_path, capsys):
         rc = main([
             "simulate", "--alpha", "3", "--nx", "30", "--nt", "20",
-            "--control", "off", "--dynamics", "plant", "--out", str(tmp_path),
+            "--dynamics", "open_loop", "--out", str(tmp_path),
             "--full-state",
         ])
         assert rc == 0
@@ -220,7 +240,7 @@ class TestMainInProcess:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "nu": 1.0, "alpha": 12.0, "mu": 6.0, "nx": 60, "nt": 40,
-            "tmax": 0.5, "dynamics": "paper_faithful", "control": "feedback",
+            "tmax": 0.5, "dynamics": "closed_loop",
         }))
         rc = main(["simulate", "--config", str(cfg), "--nt", "25"])
         assert rc == 0
@@ -231,7 +251,7 @@ class TestMainInProcess:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "nu": 1.0, "alpha": 0.0, "nx": 12, "nt": 12, "tmax": 0.1,
-            "dynamics": "plant", "control": "off", "u0": u0,
+            "dynamics": "open_loop", "u0": u0,
         }))
         assert main(["simulate", "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -357,8 +377,7 @@ class TestExitCodes:
         # a mu where 1 + a_1 crosses zero on 80 nodes: ask for that design
         rc = main([
             "simulate", "--alpha", "30", "--mu", repr(a1_root), "--nx", "80",
-            "--nt", "10", "--tmax", "0.1", "--dynamics", "paper",
-            "--control", "feedback",
+            "--nt", "10", "--tmax", "0.1", "--dynamics", "closed_loop",
         ])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
@@ -366,12 +385,33 @@ class TestExitCodes:
     def test_newton_divergence_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "hard.json"
         cfg.write_text(json.dumps({
-            "nu": 1.0, "alpha": 15.0, "model": "nonlinear", "dynamics": "plant",
-            "control": "off", "u0": "exp2", "nx": 60, "nt": 30, "tmax": 1.0,
+            "nu": 1.0, "alpha": 15.0, "model": "nonlinear", "dynamics": "open_loop",
+            "u0": "exp2", "nx": 60, "nt": 30, "tmax": 1.0,
             "newton_max_iter": 1,
         }))
         assert main(["simulate", "--config", str(cfg)]) == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags, says", [
+        ({"dynamics": "paper_faithful"}, [], ["retired", "closed_loop"]),
+        ({"dynamics": "plant"}, [], ["retired", "closed_loop", "open_loop"]),
+        ({"control": "off"}, [], ["'control' was folded into 'dynamics'", "open_loop"]),
+        (None, ["--dynamics", "paper"], ["invalid choice", "closed_loop"]),
+        (None, ["--control", "feedback"], ["unrecognized arguments: --control"]),
+    ], ids=["paper_faithful", "plant", "control", "flag-dynamics-paper", "flag-control"])
+    def test_retired_settings_exit_2(self, tmp_path, capsys, config, flags, says):
+        argv = ["simulate", "--nx", "20", "--nt", "5", *flags]
+        if config is not None:
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag itself
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(text in err for text in says), err
 
     def test_non_finite_run_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "overflow.json"
@@ -421,8 +461,7 @@ class TestSubprocess:
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ("simulate", "--alpha", "12", "--mu", "6", "--nx", "50",
-                "--nt", "30", "--tmax", "0.4", "--dynamics", "paper",
-                "--control", "feedback")
+                "--nt", "30", "--tmax", "0.4", "--dynamics", "closed_loop")
         a, b = tmp_path / "a", tmp_path / "b"
         p1 = run_cli(*args, "--out", str(a))
         p2 = run_cli(*args, "--out", str(b))

@@ -16,18 +16,13 @@ from rdstab.errors import (
     NonFiniteStateError,
     SolverError,
 )
-from oracles import (
-    assemble_A,
-    closed_loop_matrix,
-    newton_step_tol,
-    step_linear,
-    step_nonlinear,
-)
+from rdstab.simulator import DYNAMICS_MODES
+from oracles import assemble_A, closed_loop_matrix, dense_newton_step, newton_step_tol
 
 
 def cfg(**kw):
     base = dict(nu=1.0, alpha=0.0, mu=0.0, n_modes=1, nx=60, nt=40, tmax=0.5,
-                model="linear", dynamics="plant", control="off")
+                model="linear", dynamics="open_loop")
     base.update(kw)
     return r.SimulationConfig(**base)
 
@@ -45,12 +40,12 @@ class TestConfig:
             dict(nt=1),
             dict(tmax=0.0),
             dict(model="cubic"),
-            dict(dynamics="open_loop"),
-            dict(control="bang_bang"),
+            dict(dynamics="rolled"),
+            dict(dynamics="paper_faithful"),
             dict(newton_tol=0.0),
             dict(newton_max_iter=0),
-            dict(dynamics="target", control="feedback"),
-            dict(n_modes=0, control="feedback"),
+            dict(dynamics="plant"),
+            dict(n_modes=0, dynamics="closed_loop"),
             dict(model="nonlinear", forcing=lambda x, t: x),
             dict(nu=math.nan),
             dict(alpha=math.nan),
@@ -91,12 +86,17 @@ class TestConfig:
             newton_max_iter=np.int64(5)).validate()
 
     def test_accepts_defaults(self):
-        r.SimulationConfig(nu=1.0, alpha=12.0, mu=6.0).validate()
+        c = r.SimulationConfig(nu=1.0, alpha=12.0, mu=6.0)
+        c.validate()
+        assert c.dynamics == "closed_loop"
 
-    @pytest.mark.parametrize("control", ["off", "feedback"])
-    def test_refuses_run_larger_than_memory(self, control):
+    def test_open_loop_needs_no_mode(self):
+        assert r.run_simulation(cfg(n_modes=0, nt=5)).nt == 5
+
+    @pytest.mark.parametrize("dynamics", ["closed_loop", "open_loop"], ids=["feedback", "off"])
+    def test_refuses_run_larger_than_memory(self, dynamics):
         # 8 * 1e14 bytes of states; validation refuses before anything is allocated
-        c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics="plant", control=control)
+        c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics=dynamics)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             c.validate()
         with pytest.raises(InvalidParameterError, match="physical memory"):
@@ -105,7 +105,7 @@ class TestConfig:
     def test_states_alone_count_against_memory(self, monkeypatch):
         # set-up keeps only nx x N factors: states that fit pass even where
         # states plus an nx x nx kernel table would not
-        c = cfg(nx=10**6, nt=10, mu=6.0, control="feedback")
+        c = cfg(nx=10**6, nt=10, mu=6.0, dynamics="closed_loop")
         states = 8 * c.nt * c.nx
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states + 4 * c.nx**2)
         c.validate()
@@ -168,7 +168,7 @@ def discrete_eigenvalue(j, grid):
 class TestAssembleA:
     def test_plant_eigenstructure(self):
         g = r.make_grid(1.0, 80)
-        A = assemble_A(2.0, 5.0, 0.0, g, None, "plant")
+        A = assemble_A(2.0, 5.0, 0.0, g, None, "open_loop")
         e2 = r.modal_basis(g, 2).mode(2)
         want = (2.0 * discrete_eigenvalue(2, g) - 5.0) * e2
         assert np.max(np.abs((A @ e2)[1:-1] - want[1:-1])) < 1e-10
@@ -176,7 +176,7 @@ class TestAssembleA:
     def test_projected_shift_on_low_modes_only(self):
         g = r.make_grid(1.0, 80)
         P = r.projection_matrix(r.modal_basis(g, 1))
-        A = assemble_A(1.0, 12.0, 6.0, g, P, "paper_faithful")
+        A = assemble_A(1.0, 12.0, 6.0, g, P, "target")
         basis2 = r.modal_basis(g, 2)
         e1, e2 = basis2.mode(1), basis2.mode(2)
         lam1h = discrete_eigenvalue(1, g)
@@ -186,7 +186,7 @@ class TestAssembleA:
 
     def test_boundary_rows_identity(self):
         g = r.make_grid(1.0, 40)
-        A = assemble_A(1.0, 3.0, 0.0, g, None, "plant")
+        A = assemble_A(1.0, 3.0, 0.0, g, None, "closed_loop")
         eye_row = np.zeros(40)
         eye_row[0] = 1.0
         assert np.array_equal(A[0], eye_row)
@@ -195,9 +195,11 @@ class TestAssembleA:
     def test_mu_zero_modes_coincide(self):
         g = r.make_grid(1.0, 40)
         P = r.projection_matrix(r.modal_basis(g, 1))
-        A1 = assemble_A(1.0, 3.0, 0.0, g, P, "paper_faithful")
-        A2 = assemble_A(1.0, 3.0, 0.0, g, None, "plant")
+        A1 = assemble_A(1.0, 3.0, 0.0, g, P, "target")
+        A2 = assemble_A(1.0, 3.0, 0.0, g, None, "open_loop")
         assert np.array_equal(A1, A2)
+        # the closed loop has no mu*P_N whatever mu
+        assert np.array_equal(assemble_A(1.0, 3.0, 6.0, g, None, "closed_loop"), A2)
 
     def test_needs_projection(self):
         g = r.make_grid(1.0, 40)
@@ -211,18 +213,25 @@ class TestAssembleA:
 
 
 class TestStepLinear:
+    def setup_method(self):
+        # the exp1 closed loop on 30 nodes: the gain row sits inside C
+        self.c, self.g, _, self.gain = _stepper_case("closed_loop", nx=30, alpha=12.0, mu=6.0,
+                                                     n_modes=1, nt=11, tmax=0.1)
+        self.stepper = rdstab.simulator._Stepper(self.c, self.g, None, self.gain)
+
     def test_zero_fixed_point(self):
-        g = r.make_grid(1.0, 30)
-        A = assemble_A(1.0, 4.0, 0.0, g, None, "plant")
-        out = step_linear(np.zeros(30), A, 0.01, 0.0)
+        u = np.zeros(self.g.nx)
+        out = self.stepper.solve(rdstab.simulator._interior(2.0 * u - self.stepper.matvec(u)))
         assert np.all(out == 0.0)
 
     def test_boundary_imposed_exactly(self):
-        g = r.make_grid(1.0, 30)
-        A = assemble_A(1.0, 0.0, 0.0, g, None, "plant")
-        out = step_linear(np.zeros(30), A, 0.05, 0.7)
-        assert out[0] == 0.0
-        assert out[-1] == 0.7
+        # any interior right-hand side: the solution meets u_0 = 0 and u_L = g(u)
+        rhs = rdstab.simulator._interior(np.random.default_rng(3).standard_normal(self.g.nx))
+        out = self.stepper.solve(rhs)
+        scale = np.max(np.abs(out))
+        assert abs(out[0]) <= 1e-14 * scale
+        assert abs(out[-1] - self.gain @ out) <= 1e-13 * scale
+        assert self.gain @ out != 0.0
 
     def test_heat_decay_rate(self):
         # pure heat mode decays like exp(-pi^2 t)
@@ -256,17 +265,12 @@ class TestStepLinear:
         traj = r.run_simulation(cfg(nu=nu, alpha=alpha, nx=nx, nt=nt, tmax=tmax))
         assert np.max(np.abs(np.asarray(states) - traj.states)) < 1e-11
 
-    @pytest.mark.parametrize("dynamics", ["paper_faithful", "plant"])
-    def test_run_matches_public_step_with_feedback(self, dynamics, exp1_kernel, exp1_tset,
-                                                   grid200):
-        # the gain is designed at mu = 6 either way; the plant operator has no mu*P_N
+    def test_run_matches_public_step_with_feedback(self, exp1_kernel, exp1_tset, grid200):
+        # the gain is designed at mu = 6; the plant operator has no mu*P_N
         c = cfg(nu=1.0, alpha=12.0, mu=6.0, n_modes=1, nx=200, nt=30, tmax=0.2,
-                dynamics=dynamics, control="feedback", u0="exp1")
+                dynamics="closed_loop", u0="exp1")
         traj = r.run_simulation(c)
-        if dynamics == "plant":
-            A = assemble_A(1.0, 12.0, 0.0, grid200, None, "plant")
-        else:
-            A = assemble_A(1.0, 12.0, 6.0, grid200, exp1_tset.P, "paper_faithful")
+        A = assemble_A(1.0, 12.0, 0.0, grid200, None, "open_loop")
         gain = r.feedback_gain(exp1_kernel, exp1_tset)
         # dense implicit closed loop: the last row is the boundary law u_L - g(u) = 0
         n = grid200.nx
@@ -291,68 +295,75 @@ def _mask(nx):
 
 
 class TestStepNonlinear:
+    """``_newton_step`` on the exp1 closed loop against dense solves of ``closed_loop_matrix``."""
+
     def setup_method(self):
-        self.g = r.make_grid(1.0, 60)
-        self.A = assemble_A(1.0, 0.0, 0.0, self.g, None, "plant")
-        self.dt = 0.01
+        self.c, self.g, _, self.gain = _stepper_case("closed_loop", nx=60, alpha=12.0, mu=6.0,
+                                                     n_modes=1, nt=11, tmax=0.1,
+                                                     model="nonlinear")
+        self.stepper = rdstab.simulator._Stepper(self.c, self.g, None, self.gain)
+        self.C = closed_loop_matrix(self.c, self.g, None, self.gain)
+
+    def step(self, u, config=None):
+        return rdstab.simulator._newton_step(self.stepper, u, config or self.c, 0)
+
+    def linear_step(self, u):
+        return np.linalg.solve(self.C, rdstab.simulator._interior(2.0 * u - self.C @ u))
 
     def test_zero_state_one_iteration(self):
-        out, iters = step_nonlinear(
-            np.zeros(60), self.A, self.dt, None, None, "off"
-        )
+        out, iters = self.step(np.zeros(60))
         assert np.all(out == 0.0)
         assert iters == 1
 
     def test_small_amplitude_matches_linear(self):
         u0 = 1e-4 * math.sqrt(2.0) * np.sin(np.pi * self.g.nodes)
-        lin = step_linear(u0, self.A, self.dt, 0.0)
-        nl, iters = step_nonlinear(u0, self.A, self.dt, None, None, "off")
-        assert np.max(np.abs(nl - lin)) < 1e-12
+        nl, iters = self.step(u0)
+        assert np.max(np.abs(nl - self.linear_step(u0))) < 1e-12
         assert iters <= 3
 
     def test_cubic_term_damps(self):
         u0 = 2.0 * np.sin(np.pi * self.g.nodes)
-        lin = step_linear(u0, self.A, self.dt, 0.0)
-        nl, _ = step_nonlinear(u0, self.A, self.dt, None, None, "off")
-        assert r.l2_norm(nl, self.g) < r.l2_norm(lin, self.g)
+        nl, _ = self.step(u0)
+        assert r.l2_norm(nl, self.g) < r.l2_norm(self.linear_step(u0), self.g)
+        assert np.max(np.abs(nl - dense_newton_step(self.C, u0, self.c)[0])) < 1e-12
 
     def test_quadratic_convergence_budget(self):
         u0 = 0.1 * np.sin(np.pi * self.g.nodes)
-        _, iters = step_nonlinear(u0, self.A, self.dt, None, None, "off")
+        _, iters = self.step(u0)
         assert iters <= 5
 
     def test_budget_exhaustion(self):
         u0 = 2.0 * np.sin(np.pi * self.g.nodes)
         with pytest.raises(NewtonDivergenceError) as exc:
-            step_nonlinear(u0, self.A, self.dt, None, None, "off", newton_max_iter=1)
+            self.step(u0, replace(self.c, newton_max_iter=1))
         assert len(exc.value.history) == 1
 
     def test_feedback_requires_operators(self):
+        # the closed loop needs a mode to design its gain from; sizes and modes are checked
         with pytest.raises(InvalidParameterError):
-            step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "feedback")
+            r.run_simulation(replace(self.c, n_modes=0))
         with pytest.raises(InvalidParameterError):
-            step_nonlinear(np.zeros(60), self.A, self.dt, None, None, "sliding")
+            r.run_simulation(replace(self.c, dynamics="sliding"))
         with pytest.raises(DimensionError):
-            step_nonlinear(np.zeros(59), self.A, self.dt, None, None, "off")
+            r.run_simulation(replace(self.c, u0=np.zeros(59)))
 
 
-def _stepper_case(dynamics, control, nx=50, mu=15.0, n_modes=2, **kw):
+def _stepper_case(dynamics, nx=50, mu=15.0, n_modes=2, **kw):
     c = cfg(**{**dict(nu=1.0, alpha=15.0, mu=mu, n_modes=n_modes, nx=nx, nt=40, tmax=0.5,
-                      dynamics=dynamics, control=control), **kw})
+                      dynamics=dynamics), **kw})
     g = r.make_grid(1.0, nx)
-    P = r.projection_matrix(r.modal_basis(g, n_modes)) if dynamics != "plant" else None
-    gain = rdstab.simulator._feedback_row(c, g) if control == "feedback" else None
+    P = r.projection_matrix(r.modal_basis(g, n_modes)) if dynamics == "target" else None
+    gain = rdstab.simulator._feedback_row(c, g) if dynamics == "closed_loop" else None
     return c, g, P, gain
 
 
 class TestStepper:
-    # (dynamics, control) -> rank k of the low-rank term at N = 2
-    CASES = [("plant", "off", 0), ("plant", "feedback", 1),
-             ("target", "off", 2), ("paper_faithful", "feedback", 3)]
+    # dynamics -> rank k of the low-rank term at N = 2
+    CASES = [("open_loop", 0), ("closed_loop", 1), ("target", 2)]
 
-    @pytest.mark.parametrize("dynamics, control, k", CASES)
-    def test_solve_matches_dense(self, dynamics, control, k):
-        c, g, P, gain = _stepper_case(dynamics, control)
+    @pytest.mark.parametrize("dynamics, k", CASES)
+    def test_solve_matches_dense(self, dynamics, k):
+        c, g, P, gain = _stepper_case(dynamics)
         stepper = rdstab.simulator._Stepper(c, g, P, gain)
         assert (0 if stepper.U is None else stepper.U.shape[1]) == k
         # the closed-loop operator assembled densely from the reference A
@@ -369,7 +380,7 @@ class TestStepper:
         assert np.max(np.abs(stepper.matvec(v) - C @ v)) <= 1e-12 * np.max(np.abs(C @ v))
 
     def test_solve_leaves_rhs_and_operator_alone(self):
-        c, g, P, gain = _stepper_case("paper_faithful", "feedback")
+        c, g, P, gain = _stepper_case("target")
         stepper = rdstab.simulator._Stepper(c, g, P, gain)
         rhs, shift = np.ones(g.nx), np.full(g.nx, 2.0)
         first = stepper.solve(rhs, shift), stepper.solve(rhs)
@@ -380,7 +391,7 @@ class TestStepper:
 
     def test_singular_closed_loop_raises_solver_error(self):
         # the gain e_L turns the boundary row into u_L - u_L = 0
-        c, g, _, _ = _stepper_case("plant", "feedback")
+        c, g, _, _ = _stepper_case("closed_loop")
         e_L = np.zeros(g.nx)
         e_L[-1] = 1.0
         with pytest.raises(SolverError, match="capacitance"):
@@ -389,13 +400,13 @@ class TestStepper:
     def test_factor_info_raises_solver_error(self, monkeypatch):
         _fail_lapack(monkeypatch, "dgttrf", after=0)
         with pytest.raises(SolverError, match="dgttrf returned info = 1") as exc:
-            r.run_simulation(cfg(alpha=12.0, mu=6.0, dynamics="paper_faithful"))
+            r.run_simulation(cfg(alpha=12.0, mu=6.0, dynamics="closed_loop"))
         # the core is factored at set-up, before the march has a level to report
         assert not hasattr(exc.value, "partial")
 
     @pytest.mark.parametrize("routine, model", [("dgttrs", "linear"), ("dgtsv", "nonlinear")])
     def test_march_info_raises_solver_error_with_partial(self, monkeypatch, routine, model):
-        c = cfg(model=model, alpha=12.0, mu=6.0, dynamics="paper_faithful", control="feedback")
+        c = cfg(model=model, alpha=12.0, mu=6.0, dynamics="closed_loop")
         clean = r.run_simulation(c)
         # dgttrs runs once at set-up (C^{-1} U), then once per step; dgtsv once per Newton iteration
         if model == "linear":
@@ -441,8 +452,7 @@ class TestRunSimulation:
         assert np.all(traj.newton_iters == 0)
 
     def test_determinism(self):
-        c = cfg(nu=1.0, alpha=12.0, mu=6.0, dynamics="paper_faithful",
-                control="feedback", nx=100, nt=50)
+        c = cfg(nu=1.0, alpha=12.0, mu=6.0, dynamics="closed_loop", nx=100, nt=50)
         t1 = r.run_simulation(c)
         t2 = r.run_simulation(c)
         assert np.array_equal(t1.states, t2.states)
@@ -450,14 +460,13 @@ class TestRunSimulation:
         assert np.array_equal(t1.l2_norms, t2.l2_norms)
 
     def test_left_boundary_pinned(self):
-        c = cfg(nu=1.0, alpha=12.0, mu=6.0, dynamics="paper_faithful",
-                control="feedback", nx=100, nt=50)
+        c = cfg(nu=1.0, alpha=12.0, mu=6.0, dynamics="closed_loop", nx=100, nt=50)
         traj = r.run_simulation(c)
         assert np.all(traj.states[:, 0] == 0.0)
 
     def test_control_record_matches_boundary(self):
         c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
-                dynamics="paper_faithful", control="feedback",
+                dynamics="closed_loop",
                 nx=100, nt=120, tmax=1.0, u0="exp2")
         traj = r.run_simulation(c)
         # the boundary law is implicit: every level after the first satisfies u_L = g(u)
@@ -466,11 +475,10 @@ class TestRunSimulation:
         assert np.all(traj.newton_iters[1:] >= 1)
         assert traj.newton_iters[0] == 0
 
-    @pytest.mark.parametrize("dynamics", ["paper_faithful", "plant"])
-    def test_newton_exact_on_boundary_row(self, dynamics):
+    def test_newton_exact_on_boundary_row(self):
         # the gain row is inside the Newton operator, so no boundary fixed point slows it
         c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
-                dynamics=dynamics, control="feedback",
+                dynamics="closed_loop",
                 nx=100, nt=120, tmax=1.0, u0="exp2")
         traj = r.run_simulation(c)
         assert traj.newton_iters.max() <= 4
@@ -478,7 +486,7 @@ class TestRunSimulation:
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
     def test_controls_are_gain_times_states(self, model):
         c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model=model,
-                dynamics="paper_faithful", control="feedback", nx=100, nt=40, u0="exp2")
+                dynamics="closed_loop", nx=100, nt=40, u0="exp2")
         traj = r.run_simulation(c)
         kern = r.kernel_table(r.make_grid(1.0, 100), 15.0, 1.0)
         gain = r.feedback_gain(kern, r.build_transform(kern, 2))
@@ -494,7 +502,7 @@ class TestRunSimulation:
         grow = r.run_simulation(cfg(alpha=12.0, nx=120, nt=120, tmax=1.0))
         assert grow.l2_norms[-1] > grow.l2_norms[0]
         damp = r.run_simulation(
-            cfg(alpha=12.0, mu=6.0, dynamics="paper_faithful", control="feedback",
+            cfg(alpha=12.0, mu=6.0, dynamics="closed_loop",
                 nx=120, nt=120, tmax=1.0)
         )
         assert damp.l2_norms[-1] < damp.l2_norms[0]
@@ -509,20 +517,15 @@ class TestRunSimulation:
             assert np.all(drops <= 1e-10 * traj.l2_norms[0])
 
     def test_solver_paths_agree_nonlinear(self):
-        # the banded Woodbury march against the dense Newton reference, level by level
-        g = r.make_grid(1.0, 100)
-        kern = r.kernel_table(g, 15.0, 1.0)
-        tset = r.build_transform(kern, 2)
-        for dynamics in ("paper_faithful", "plant"):
-            c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
-                    dynamics=dynamics, control="feedback",
-                    nx=100, nt=150, tmax=1.0, u0="exp2")
+        # the Woodbury march against dense Newton on the dense operator, level by level
+        for dynamics in DYNAMICS_MODES:
+            c, g, P, gain = _stepper_case(dynamics, nx=100, nt=150, tmax=1.0,
+                                          model="nonlinear", u0="exp2")
             traj = r.run_simulation(c)
-            mu_A, P = (15.0, tset.P) if dynamics == "paper_faithful" else (0.0, None)
-            A = assemble_A(1.0, 15.0, mu_A, g, P, dynamics)
+            C = closed_loop_matrix(c, g, P, gain)
             u = r.initial_state(c, g)
             for n in range(c.nt - 1):
-                u, _ = step_nonlinear(u, A, c.dt, tset, kern, "feedback")
+                u, _ = dense_newton_step(C, u, c)
                 assert np.max(np.abs(u - traj.states[n + 1])) < 1e-9
 
     def test_manufactured_steady_state(self):
@@ -564,16 +567,15 @@ class TestRunSimulation:
 @given(
     mu=st.floats(1.0, 25.0),
     n_modes=st.integers(1, 3),
-    dynamics=st.sampled_from(["paper_faithful", "plant"]),
     coeffs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
     a=st.floats(-3.0, 3.0),
     b=st.floats(-3.0, 3.0),
 )
-def test_feedback_is_linear(mu, n_modes, dynamics, coeffs, a, b):
+def test_feedback_is_linear(mu, n_modes, coeffs, a, b):
     # every (mu, N) here is admissible; the linear closed loop maps u0 to states
     # linearly, so g of the combined run's states is the combination of controls
     c = cfg(alpha=12.0, mu=mu, n_modes=n_modes, nx=40, nt=15, tmax=0.3,
-            dynamics=dynamics, control="feedback")
+            dynamics="closed_loop")
     u1 = {"sine_coeffs": coeffs[:3]}
     u2 = {"sine_coeffs": coeffs[3:], "poly_coeffs": [0.0, 1.0, -1.0]}
     g = r.make_grid(1.0, c.nx)
@@ -590,8 +592,7 @@ def test_feedback_is_linear(mu, n_modes, dynamics, coeffs, a, b):
 @settings(max_examples=15, deadline=None)
 @given(
     model=st.sampled_from(["linear", "nonlinear"]),
-    dynamics=st.sampled_from(["paper_faithful", "plant", "target"]),
-    feedback=st.booleans(),
+    dynamics=st.sampled_from(DYNAMICS_MODES),
     alpha=st.floats(0.0, 15.0),
     mu=st.floats(1.0, 25.0),
     n_modes=st.integers(1, 3),
@@ -599,9 +600,8 @@ def test_feedback_is_linear(mu, n_modes, dynamics, coeffs, a, b):
     nt=st.integers(3, 20),
     amp=st.floats(-2.0, 2.0),
 )
-def test_runs_are_deterministic(model, dynamics, feedback, alpha, mu, n_modes, nx, nt, amp):
-    control = "feedback" if feedback and dynamics != "target" else "off"
-    c = cfg(model=model, dynamics=dynamics, control=control, alpha=alpha, mu=mu,
+def test_runs_are_deterministic(model, dynamics, alpha, mu, n_modes, nx, nt, amp):
+    c = cfg(model=model, dynamics=dynamics, alpha=alpha, mu=mu,
             n_modes=n_modes, nx=nx, nt=nt, u0={"sine_coeffs": [amp, 0.5]})
     t1, t2 = r.run_simulation(c), r.run_simulation(c)
     assert np.array_equal(t1.states, t2.states)
@@ -609,23 +609,18 @@ def test_runs_are_deterministic(model, dynamics, feedback, alpha, mu, n_modes, n
     assert np.array_equal(t1.controls, t2.controls)
 
 
-PAIRS = [("paper_faithful", "feedback"), ("paper_faithful", "off"), ("plant", "feedback"),
-         ("plant", "off"), ("target", "off")]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
-    pair=st.sampled_from(PAIRS),
+    dynamics=st.sampled_from(DYNAMICS_MODES),
     nx=st.integers(8, 60),
     mu=st.floats(0.0, 30.0),
     n_modes=st.integers(1, 3),
     nt=st.integers(2, 200),
     alpha=st.floats(0.0, 30.0),
 )
-def test_inverse_bound_covers_dense_inverse(pair, nx, mu, n_modes, nt, alpha):
-    dynamics, control = pair
+def test_inverse_bound_covers_dense_inverse(dynamics, nx, mu, n_modes, nt, alpha):
     try:
-        c, g, P, gain = _stepper_case(dynamics, control, nx=nx, mu=mu,
+        c, g, P, gain = _stepper_case(dynamics, nx=nx, mu=mu,
                                       n_modes=min(n_modes, nx // 4), alpha=alpha, nt=nt,
                                       model="nonlinear")
     except InadmissiblePairError:
@@ -638,15 +633,15 @@ def test_inverse_bound_covers_dense_inverse(pair, nx, mu, n_modes, nt, alpha):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    pair=st.sampled_from(PAIRS),
+    dynamics=st.sampled_from(DYNAMICS_MODES),
     nx=st.integers(20, 80),
     nt=st.integers(5, 40),
     alpha=st.floats(0.0, 15.0),
     coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
 )
-def test_next_correction_bound_holds(pair, nx, nt, alpha, coeffs):
+def test_next_correction_bound_holds(dynamics, nx, nt, alpha, coeffs):
     # one Newton update from u, then the correction that would follow it, against the bound
-    c, g, P, gain = _stepper_case(*pair, nx=nx, nt=nt, alpha=alpha, model="nonlinear")
+    c, g, P, gain = _stepper_case(dynamics, nx=nx, nt=nt, alpha=alpha, model="nonlinear")
     stepper = rdstab.simulator._Stepper(c, g, P, gain)
     dt = c.dt
     u = r.initial_state(replace(c, u0={"sine_coeffs": coeffs}), g)
@@ -671,9 +666,8 @@ def exp2_runs():
     for preset in ("exp2", "exp2_uncontrolled"):
         c = r.SimulationConfig(nx=200, nt=200, **EXPERIMENT_PRESETS[preset])
         g = r.make_grid(c.length, c.nx)
-        P = r.projection_matrix(r.modal_basis(g, c.n_modes)) if c.dynamics != "plant" else None
-        gain = rdstab.simulator._feedback_row(c, g) if c.control == "feedback" else None
-        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        gain = rdstab.simulator._feedback_row(c, g) if c.dynamics == "closed_loop" else None
+        stepper = rdstab.simulator._Stepper(c, g, None, gain)
         assert math.isfinite(stepper.inv_bound)
         states, solves = [r.initial_state(c, g)], 0
         for n in range(c.nt - 1):
@@ -725,7 +719,7 @@ class TestCertifiedNewtonStop:
 
     def test_uncertified_core_keeps_the_plain_stop(self, monkeypatch):
         # dt * alpha = 500: T is no M-matrix and T^{-1} 1 has negative entries
-        c, g, P, gain = _stepper_case("paper_faithful", "feedback", nx=20, alpha=2000.0, nt=5,
+        c, g, P, gain = _stepper_case("closed_loop", nx=20, alpha=2000.0, nt=5,
                                       tmax=1.0, model="nonlinear",
                                       u0={"sine_coeffs": [0.1, 0.05]})
         stepper = rdstab.simulator._Stepper(c, g, P, gain)
@@ -739,26 +733,26 @@ class TestCertifiedNewtonStop:
         assert traj.newton_iters[1:].min() >= 2
 
     def test_linear_runs_skip_the_bound(self):
-        stepper = rdstab.simulator._Stepper(*_stepper_case("paper_faithful", "feedback"))
+        stepper = rdstab.simulator._Stepper(*_stepper_case("closed_loop"))
         assert stepper.inv_bound == math.inf
 
 
 class TestTargetConsistency:
     def test_initial_mismatch_at_inverse_tolerance(self):
         c = cfg(nu=1.0, alpha=12.0, mu=6.0, nx=100, nt=40, tmax=0.5,
-                dynamics="paper_faithful", control="feedback", u0="exp1")
+                dynamics="closed_loop", u0="exp1")
         _, _, mismatch = r.run_target_consistency(c)
         assert mismatch[0] < 1e-8
 
     def test_zero_mu_exact_agreement(self):
         c = cfg(nu=1.0, alpha=3.0, mu=0.0, nx=80, nt=40, tmax=0.5,
-                dynamics="paper_faithful", control="feedback", u0="exp1")
+                dynamics="closed_loop", u0="exp1")
         _, _, mismatch = r.run_target_consistency(c)
         assert np.max(mismatch) < 1e-12
 
     def test_mismatch_small_at_moderate_resolution(self):
         c = cfg(nu=1.0, alpha=12.0, mu=6.0, nx=200, nt=200, tmax=1.5,
-                dynamics="paper_faithful", control="feedback", u0="exp1")
+                dynamics="closed_loop", u0="exp1")
         traj_u, traj_w, mismatch = r.run_target_consistency(c)
         assert np.max(mismatch) < 0.05
         # homogeneous boundary from the first step on (w0 itself need not
@@ -772,14 +766,14 @@ class TestTargetConsistency:
         monkeypatch.setattr(rdstab.simulator, "kernel_table",
                             lambda *a, **k: calls.append(a) or table(*a, **k))
         c = cfg(nu=1.0, alpha=12.0, mu=6.0, nx=60, nt=20, tmax=0.5,
-                dynamics="paper_faithful", control="feedback", u0="exp1")
+                dynamics="closed_loop", u0="exp1")
         r.run_target_consistency(c)
         assert len(calls) == 1
 
     def test_rejects_nonlinear_and_zero_state(self):
         with pytest.raises(InvalidParameterError):
             r.run_target_consistency(cfg(model="nonlinear", mu=6.0, alpha=12.0,
-                                         dynamics="paper_faithful", control="feedback"))
+                                         dynamics="closed_loop"))
         with pytest.raises(InvalidParameterError):
             r.run_target_consistency(cfg(mu=6.0, alpha=12.0, u0=np.zeros(60),
-                                         dynamics="paper_faithful", control="feedback"))
+                                         dynamics="closed_loop"))
