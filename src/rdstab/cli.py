@@ -8,15 +8,17 @@ experiment          canned reproduction runs exp1/exp2 (+ uncontrolled twins)
 scan-admissibility  sweep mu and report the admissibility scalars
 kernel-dump         tabulate the feedback kernel on the grid
 
-Exit codes: 0 success, 2 invalid parameters, 3 inadmissible pair,
-4 solver/Newton failure.  Output files carry no timestamps; rerunning a
-command reproduces them bit-identically.
+Run defaults are the field defaults of ``SimulationConfig``.  Exit codes: 0
+on success, a package error's own ``exit_code`` (see ``rdstab.errors``), and 2
+for any other bad value or unreadable file.  Output files carry no
+timestamps; rerunning a command reproduces them bit-identically.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -27,16 +29,10 @@ import numpy as np
 from . import __version__
 from .constants import FIT_WINDOW
 from .controller import DesignReport, design_fixed, design_minimal, design_rapid
-from .errors import (
-    FitError,
-    InadmissiblePairError,
-    InvalidParameterError,
-    RdstabError,
-    SolverError,
-)
+from .errors import FitError, InvalidParameterError, RdstabError
 from .grid import make_grid
 from .kernel import check_table_fits, kernel_table
-from .simulator import DYNAMICS_MODES, SimulationConfig, Trajectory, run_simulation
+from .simulator import DYNAMICS_MODES, MODELS, SimulationConfig, Trajectory, run_simulation
 from .transform import scan_admissibility, sign_change_brackets
 
 __all__ = [
@@ -47,30 +43,24 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENT_PRESETS = {
+_CONTROLLED_PRESETS = {
     "exp1": dict(
         nu=1.0, alpha=12.0, mu=6.0, n_modes=1, length=1.0, tmax=1.5,
         model="linear", dynamics="closed_loop", u0="exp1",
-    ),
-    "exp1_uncontrolled": dict(
-        nu=1.0, alpha=12.0, mu=6.0, n_modes=1, length=1.0, tmax=1.5,
-        model="linear", dynamics="open_loop", u0="exp1",
     ),
     "exp2": dict(
         nu=1.0, alpha=15.0, mu=15.0, n_modes=2, length=1.0, tmax=3.0,
         model="nonlinear", dynamics="closed_loop", u0="exp2",
     ),
-    "exp2_uncontrolled": dict(
-        nu=1.0, alpha=15.0, mu=15.0, n_modes=2, length=1.0, tmax=3.0,
-        model="nonlinear", dynamics="open_loop", u0="exp2",
-    ),
+}
+# each controlled preset and its uncontrolled twin, the same plant with u_L = 0
+EXPERIMENT_PRESETS = {
+    **_CONTROLLED_PRESETS,
+    **{f"{name}_uncontrolled": {**fields, "dynamics": "open_loop"}
+       for name, fields in _CONTROLLED_PRESETS.items()},
 }
 
 _FMT = "%.17g"
-
-# flag defaults of every verb but simulate, whose config file must win over
-# them; _load_config applies the nu and alpha entries after merging the file
-CLI_DEFAULTS = dict(nu=1.0, alpha=12.0, mu=6.0, modes=1, length=1.0, nx=200)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,11 +134,10 @@ def run_experiment(
         raise InvalidParameterError(
             f"unknown preset {preset!r}; choose from {sorted(EXPERIMENT_PRESETS)}"
         )
-    fields = EXPERIMENT_PRESETS[preset]
-    config = SimulationConfig(nx=nx, nt=nt, **fields)
+    config = SimulationConfig(nx=nx, nt=nt, **EXPERIMENT_PRESETS[preset])
     report = design_fixed(
-        fields["nu"], fields["alpha"], fields["mu"], fields["n_modes"],
-        fields["length"], nx=nx, smallness=(fields["model"] == "nonlinear"),
+        config.nu, config.alpha, config.mu, config.n_modes, config.length,
+        nx=config.nx, smallness=(config.model == "nonlinear"),
     )
     trajectory = run_simulation(config)
     fit = fit_decay_rate(trajectory)
@@ -237,19 +226,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    flags = {
-        "nu": (float, "diffusion coefficient"),
-        "alpha": (float, "reaction coefficient"),
-        "mu": (float, "target damping strength"),
-        "modes": (int, "number of controlled modes"),
-        "length": (float, "domain length"),
-        "nx": (int, "number of grid nodes"),
+    flags = {  # config field: (flag, type, help)
+        "nu": ("--nu", float, "diffusion coefficient"),
+        "alpha": ("--alpha", float, "reaction coefficient"),
+        "mu": ("--mu", float, "target damping strength"),
+        "n_modes": ("--modes", int, "number of controlled modes"),
+        "length": ("--length", float, "domain length"),
+        "nx": ("--nx", int, "number of grid nodes"),
     }
+    config_defaults = {f.name: f.default for f in dataclasses.fields(SimulationConfig)}
 
-    def add_common(p, *names, defaults=CLI_DEFAULTS):
+    def add_common(p, *names, defaults=config_defaults):
         for name in names:
-            kind, text = flags[name]
-            p.add_argument(f"--{name}", type=kind, default=defaults.get(name), help=text)
+            flag, kind, text = flags[name]
+            p.add_argument(flag, dest=name, metavar=flag[2:].upper(), type=kind,
+                           default=defaults.get(name), help=text)
         p.add_argument("--out", default=None, metavar="DIR", help="output directory")
 
     p = sub.add_parser("design", help="closed-form controller design")
@@ -258,11 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--rate", type=float, help="target decay rate for the rapid design")
     grp.add_argument("--minimal", action="store_true", help="minimal-mode design")
 
+    # no defaults here: a flag overrides the config file only when given
     p = sub.add_parser("simulate", help="run one simulation")
-    add_common(p, "nu", "alpha", "mu", "modes", "length", "nx", defaults={})
+    add_common(p, "nu", "alpha", "mu", "n_modes", "length", "nx", defaults={})
     p.add_argument("--nt", type=int, default=None, help="number of time levels")
     p.add_argument("--tmax", type=float, default=None, help="time horizon")
-    p.add_argument("--model", choices=["linear", "nonlinear"], default=None)
+    p.add_argument("--model", choices=MODELS, default=None)
     p.add_argument("--dynamics", choices=DYNAMICS_MODES, default=None)
     p.add_argument("--u0", default=None, help="initial-condition preset (exp1, exp2)")
     p.add_argument("--config", default=None, metavar="FILE", help="JSON config file")
@@ -270,12 +262,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a canned reproduction preset")
     p.add_argument("preset", choices=sorted(EXPERIMENT_PRESETS))
-    add_common(p, "nx", defaults={"nx": 1000})
-    p.add_argument("--nt", type=int, default=1000)
+    run_defaults = {k: v.default for k, v in inspect.signature(run_experiment).parameters.items()}
+    add_common(p, "nx", defaults=run_defaults)
+    p.add_argument("--nt", type=int, default=run_defaults["nt"])
     p.add_argument("--full-state", action="store_true")
 
     p = sub.add_parser("scan-admissibility", help="sweep mu and report scalars")
-    add_common(p, "nu", "modes", "length", "nx")
+    add_common(p, "nu", "n_modes", "length", "nx")
     p.add_argument("--mu-min", type=float, required=True)
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)
@@ -292,8 +285,6 @@ def _cmd_design(args) -> int:
         report = design_rapid(args.nu, args.alpha, args.length, args.rate)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
-    if report.scheme != "stable" and report.gamma <= 0:
-        print("warning: computed rate is not positive", file=sys.stderr)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -302,6 +293,7 @@ def _cmd_design(args) -> int:
 
 
 def _load_config(args) -> SimulationConfig:
+    known = set(SimulationConfig.__dataclass_fields__)
     fields = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
@@ -310,21 +302,13 @@ def _load_config(args) -> SimulationConfig:
         if "control" in raw:
             raise InvalidParameterError("config key 'control' was folded into 'dynamics': "
                                         "use closed_loop (feedback) or open_loop (off)")
-        known = set(SimulationConfig.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
             raise InvalidParameterError(f"unknown config keys {sorted(unknown)}")
         if "forcing" in raw:
             raise InvalidParameterError("forcing is a callable and cannot come from a config file")
         fields.update(raw)
-    overrides = {
-        "nu": args.nu, "alpha": args.alpha, "mu": args.mu, "n_modes": args.modes,
-        "length": args.length, "nx": args.nx, "nt": args.nt, "tmax": args.tmax,
-        "model": args.model, "dynamics": args.dynamics, "u0": args.u0,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    fields.setdefault("nu", CLI_DEFAULTS["nu"])
-    fields.setdefault("alpha", CLI_DEFAULTS["alpha"])
+    fields.update({k: v for k, v in vars(args).items() if k in known and v is not None})
     if "u0" in fields and isinstance(fields["u0"], list):
         fields["u0"] = np.asarray(fields["u0"], dtype=float)
     try:
@@ -365,9 +349,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_scan(args) -> int:
     rows = scan_admissibility(
-        args.nu, args.length, args.modes, (args.mu_min, args.mu_max), args.steps, nx=args.nx
+        args.nu, args.length, args.n_modes, (args.mu_min, args.mu_max), args.steps, nx=args.nx
     )
-    header = "mu," + ",".join(f"a_{j}" for j in range(1, args.modes + 1)) + ",admissible"
+    header = "mu," + ",".join(f"a_{j}" for j in range(1, args.n_modes + 1)) + ",admissible"
     lines = [header]
     for row in rows:
         vals = ",".join(_FMT % s for s in row.scalars)
@@ -409,19 +393,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except InadmissiblePairError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except SolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except (InvalidParameterError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except RdstabError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:
+        return err.exit_code
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

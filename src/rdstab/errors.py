@@ -2,8 +2,10 @@
 
 Errors fall into two families: parameter/usage errors (subclasses of
 ``InvalidParameterError``, which is a ``ValueError``) and runtime failures of
-the numerical machinery (subclasses of ``SolverError``).  The CLI maps these
-onto process exit codes; see ``rdstab.cli``.
+the numerical machinery (subclasses of ``SolverError``).  Each class carries
+the process exit code the CLI returns for it as ``exit_code``: 2 for invalid
+parameters, 3 for an inadmissible (mu, N) pair, 4 for every other package
+error (solver, Newton, non-finite state, fit).
 """
 
 import math
@@ -31,9 +33,13 @@ __all__ = [
 class RdstabError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class InvalidParameterError(RdstabError, ValueError):
     """A scalar or configuration argument is outside its documented range."""
+
+    exit_code = 2
 
 
 class DimensionError(InvalidParameterError):
@@ -63,6 +69,8 @@ class InadmissiblePairError(RdstabError):
     Raised when a recursion scalar a_j comes within ``admissibility_floor``
     of -1.  Carries the offending index and value.
     """
+
+    exit_code = 3
 
     def __init__(self, index: int, value: float, floor: float):
         self.index = index

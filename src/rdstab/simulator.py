@@ -78,12 +78,13 @@ class SimulationConfig:
     ``poly_coeffs`` (monomial coefficients, constant first), an array of
     nodal samples, or a callable of the node vector.  ``forcing``, if set,
     is a source term f(x, t) added to the linear model (used for
-    manufactured-solution checks).
+    manufactured-solution checks).  The field defaults are the CLI's flag
+    defaults: exp1's plant and its one-mode feedback.
     """
 
-    nu: float
-    alpha: float
-    mu: float = 0.0
+    nu: float = 1.0
+    alpha: float = 12.0
+    mu: float = 6.0
     n_modes: int = 1
     length: float = 1.0
     nx: int = 200

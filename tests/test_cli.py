@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import rdstab as r
+import rdstab.cli
+import rdstab.errors
 from rdstab.cli import EXPERIMENT_PRESETS, export, fit_decay_rate, main, run_experiment
 from rdstab.errors import FitError, InvalidParameterError
 
@@ -227,6 +230,17 @@ class TestMainInProcess:
         assert (tmp_path / "norms.csv").exists()
         assert not (tmp_path / "state.csv").exists()
 
+    def test_simulate_defaults_apply_the_feedback(self, tmp_path, capsys):
+        # a closed-loop run given no mu takes exp1's gain, so the loop decays
+        rc = main(["simulate", "--nx", "60", "--nt", "40", "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["mu"] == 6.0 and config["dynamics"] == "closed_loop"
+        norms = np.loadtxt(tmp_path / "norms.csv", delimiter=",", skiprows=1)
+        assert np.all(norms[:, 1] != 0.0)
+        assert json.loads((tmp_path / "fit.json").read_text())["rate"] > 0.0
+
     def test_simulate_full_state(self, tmp_path, capsys):
         rc = main([
             "simulate", "--alpha", "3", "--nx", "30", "--nt", "20",
@@ -281,7 +295,42 @@ class TestMainInProcess:
         assert data.shape == (60, 61)
 
 
+def readme_exit_codes():
+    """Error class name -> exit code, from the table in the README's Exit codes section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    codes = {}
+    for row in re.findall(r"^\| (\d+) \| ([^|]*) \|", section, flags=re.M):
+        for name in re.findall(r"`(\w+)`", row[1]):
+            codes[name] = int(row[0])
+    return codes
+
+
+# constructor arguments of the error classes that take more than a message
+ERROR_ARGS = {
+    "InadmissiblePairError": (1, -1.0, 1e-6),
+    "NewtonDivergenceError": (3, [1.0, 0.5]),
+    "NonFiniteStateError": (3,),
+}
+
+
 class TestExitCodes:
+    def test_readme_table_names_every_error_class(self):
+        assert set(readme_exit_codes()) == set(rdstab.errors.__all__)
+
+    @pytest.mark.parametrize("name", rdstab.errors.__all__)
+    def test_error_class_exit_code(self, name, monkeypatch, capsys):
+        cls = getattr(rdstab.errors, name)
+        assert cls.exit_code == readme_exit_codes()[name]
+        err = cls(*ERROR_ARGS.get(name, ("boom",)))
+
+        def fail(args):
+            raise err
+
+        monkeypatch.setattr(rdstab.cli, "_cmd_kernel_dump", fail)
+        assert main(["kernel-dump"]) == cls.exit_code
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_invalid_parameters(self, capsys):
         assert main(["simulate", "--nx", "2"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import rdstab as r
 import rdstab.controller as ctl
@@ -130,6 +131,26 @@ class TestMinimalModeSetup:
             r.minimal_mode_setup(1.0, LAM1)
         with pytest.raises(DegenerateSpectrumError):
             r.minimal_mode_setup(2.0, 2.0 * r.eigenvalue(3, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nu=st.floats(0.05, 5.0),
+        length=st.floats(0.2, 5.0),
+        excess=st.floats(1.001, 200.0),
+    )
+    def test_rapid_rate_positive_at_interval_start(self, nu, length, excess):
+        # gamma(lo) = (alpha - nu lam1) N/(N + 2) > 0 for an unstable plant, and gamma
+        # grows with mu, so a minimal design never reports a non-positive gamma
+        lam1 = r.eigenvalue(1, length)
+        alpha = excess * nu * lam1
+        try:
+            n, (lo, hi), _ = r.minimal_mode_setup(nu, alpha, length)
+        except DegenerateSpectrumError:
+            assume(False)
+        assert n >= 1 and 0.0 < lo < hi
+        gamma = r.gamma_rate(nu, alpha, lo, n, length)
+        assert gamma > 0.0
+        assert gamma == pytest.approx((alpha - nu * lam1) * n / (n + 2), rel=1e-9)
 
 
 class TestSmallness:
