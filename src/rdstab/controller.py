@@ -14,9 +14,9 @@ tolerances are fixed.
 
 The feedback value applied at the right boundary is
 
-    g(u) = integral_0^L k(L, y) [P_N (I - Phi_N) u](y) dy,
+    g(u) = integral_0^L k(L, y) [P_N (I - Phi_N) u](y) dy = (Phi_N u)(L),
 
-evaluated with the same trapezoidal quadrature as everything else.
+the last row of Phi_N, since (T - I)(I - Phi_N) = Phi_N.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     InvalidParameterError,
     check_scalars,
 )
-from .grid import make_grid, trapezoid_weights
+from .grid import make_grid
 from .kernel import Kernel, kernel_table
 from .spectral import eigenvalue
 from .transform import TransformSet, build_transform, operator_norms
@@ -242,20 +242,18 @@ def bernoulli_envelope(a: float, b: float, d: float, y0: float, t):
 
 
 def feedback_gain(kernel: Kernel, tset: TransformSet) -> np.ndarray:
-    """Row vector r with g(u) = r @ u, precomputed for time stepping.
+    """Row vector r with g(u) = r @ u, precomputed for time stepping, in O(nx N).
 
-    With c = (wq k(L, .)) W and Phi_N = X (dx W^T),
-    r = c (dx W^T)(I - X dx W^T) = dx (c - dx c (W^T X)) W^T, in O(nx N).
+    g(u) = (Upsilon P_N (I - Phi_N) u)(L) = ((T - I)(I - Phi_N) u)(L), and
+    T (I - Phi_N) = I makes that (Phi_N u)(L): r = dx X[-1] W^T, the last
+    row of Phi_N = X (dx W^T).  The kernel is read for its grid alone.
     """
     if kernel.grid.nx != tset.grid.nx:
         raise DimensionError(
             f"kernel grid ({kernel.grid.nx} nodes) does not match "
             f"transform grid ({tset.grid.nx} nodes)"
         )
-    dx = tset.grid.dx
-    W = tset.basis.W
-    c = (trapezoid_weights(tset.grid) * kernel.boundary_row()) @ W
-    return dx * ((c - dx * (c @ (W.T @ tset.X))) @ W.T)
+    return tset.grid.dx * (tset.X[-1] @ tset.basis.W.T)
 
 
 @dataclass(frozen=True)

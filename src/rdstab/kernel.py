@@ -20,10 +20,12 @@ same recurrence picks the truncation order M: it stops at the first M whose
 next term on the x = L row is below DEFAULT_KERNEL_TOL, and reports that
 term as the achieved gap.
 
-The set-up needs the kernel only through Upsilon W and the row k(L, .), so
-``kernel_table`` costs O(nx M) and forms no nx x nx array.  The table
-itself, by Horner's scheme in zeta, is formed only when ``Kernel.values``
-is read (the kernel dump, the PDE residual check and dense reference code).
+The set-up needs the kernel only through Upsilon W, which ``transform``
+forms in closed form from mu and nu, and the feedback gain is the last row
+of Phi_N; so ``kernel_table`` costs O(nx M) and forms no nx x nx array.
+The coefficients serve the table, which Horner's scheme in zeta forms only
+when ``Kernel.values`` is read (the kernel dump, the PDE residual check and
+dense reference code).
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
 class Kernel:
     """The truncated kernel series on the grid's lower triangle.
 
-    The kernel is kept as its series coefficients; the set-up reads it only
-    through them (the Volterra moments of ``transform``) and through
-    :meth:`boundary_row`.
+    The kernel is kept as its series coefficients; the set-up reads only its
+    mu, nu and grid.
 
     Attributes
     ----------
@@ -110,9 +111,6 @@ class Kernel:
     nu: float
     grid: Grid
     achieved_delta: float
-
-    def _prefactor(self) -> np.ndarray:
-        return -(self.mu * self.grid.nodes) / (2.0 * self.nu)
 
     def _horner(self, zeta: np.ndarray) -> np.ndarray:
         """sum_m c_m zeta^m by Horner's scheme, elementwise."""
@@ -135,7 +133,7 @@ class Kernel:
         check_table_fits(g.nx)
         y = g.nodes
         L2 = g.length**2
-        prefactor = self._prefactor()
+        prefactor = -(self.mu * y) / (2.0 * self.nu)
         values = np.zeros((g.nx, g.nx))
         rows = max(1, BLOCK_ENTRIES // g.nx)
         for start in range(0, g.nx, rows):
@@ -146,18 +144,6 @@ class Kernel:
             values[start:stop, :stop] = np.tril(block, start)
         values.flags.writeable = False
         return values
-
-    def boundary_row(self) -> np.ndarray:
-        """Kernel trace k(L, y_j) used by the feedback law, in O(nx M).
-
-        The x = L row of :attr:`values`, computed alone with the same
-        operations, so the two agree bit for bit.
-        """
-        y = self.grid.nodes
-        L = y[-1]
-        row = self._horner((L - y) * (L + y) / self.grid.length**2)
-        row *= self._prefactor()
-        return row
 
 
 def check_table_fits(nx: int) -> None:

@@ -119,7 +119,8 @@ class SimulationConfig:
         if self.model not in MODELS:
             raise InvalidParameterError(f"unknown model {self.model!r}")
         if self.dynamics not in DYNAMICS_MODES:
-            hint = _RETIRED_DYNAMICS.get(self.dynamics, "choose from " + ", ".join(DYNAMICS_MODES))
+            # str(): a list or object from a config file is unhashable
+            hint = _RETIRED_DYNAMICS.get(str(self.dynamics), "choose from " + ", ".join(DYNAMICS_MODES))
             raise InvalidParameterError(f"unknown dynamics mode {self.dynamics!r}; {hint}")
         if self.dynamics == "closed_loop" and self.n_modes < 1:
             raise InvalidParameterError("the closed loop needs at least one mode")
@@ -172,9 +173,9 @@ def initial_state(config: SimulationConfig, grid: Grid) -> np.ndarray:
             raise InvalidParameterError(f"unknown initial-condition keys {sorted(unknown)}")
         u = np.zeros_like(x)
         amp = np.sqrt(2.0 / grid.length)
-        for n, c in enumerate(spec.get("sine_coeffs", ()), start=1):
+        for n, c in enumerate(_u0_coeffs(spec, "sine_coeffs"), start=1):
             u += float(c) * amp * np.sin(n * np.pi * x / grid.length)
-        poly = list(spec.get("poly_coeffs", ()))
+        poly = _u0_coeffs(spec, "poly_coeffs")
         if poly:
             u += np.polynomial.polynomial.polyval(x, poly)
     elif callable(spec):
@@ -184,6 +185,20 @@ def initial_state(config: SimulationConfig, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise InvalidParameterError("initial state has non-finite samples")
     return u
+
+
+def _u0_coeffs(spec: dict, key: str) -> list:
+    """The list ``spec[key]`` (empty when absent), checked to hold finite real numbers.
+
+    Raises InvalidParameterError naming the field otherwise.
+    """
+    try:
+        coeffs = list(spec.get(key, ()))
+    except TypeError:
+        raise InvalidParameterError(
+            f"u0 {key} must be a list of real numbers, got {spec[key]!r}") from None
+    check_scalars(**{f"u0 {key}[{i}]": c for i, c in enumerate(coeffs)})
+    return coeffs
 
 
 def _interior(v: np.ndarray) -> np.ndarray:

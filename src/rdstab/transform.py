@@ -1,8 +1,7 @@
 """The Volterra transform I + Upsilon P_N and its recursive inverse.
 
-``upsilon_matrix`` discretizes the Volterra operator
-(Upsilon v)(x) = integral_0^x k(x, y) v(y) dy by the trapezoidal rule.
-The forward transform is T = I + Upsilon P_N.  Its inverse is I - Phi_N,
+With the Volterra operator (Upsilon v)(x) = integral_0^x k(x, y) v(y) dy,
+the forward transform is T = I + Upsilon P_N.  Its inverse is I - Phi_N,
 where Phi_N is built by the recursion
 
     Phi_0 = 0,
@@ -16,20 +15,17 @@ not invertible and construction fails.
 
 P_N = dx W W^T has rank N, so the whole transform is kept as nx x N
 factors: T = I + UW (dx W^T) with UW = Upsilon W, and Phi_j = X_j (dx W_j^T)
-with the recursion run on X alone.  UW comes from the kernel's series
-coefficients and mu-free Volterra moments (``_volterra_moments``), so no
-kernel table is formed.  The moments sum the triangle directly only inside
-row blocks of MOMENT_BLOCK = b rows and reach the columns before a block
-through Taylor-shifted sums: they cost O(nx M (b + M) N) time and
-O(nx M N) memory once per grid, mode count and order M, and each mu then
-costs O(nx N M).  An admissibility scan forms them once for all its samples.
-The inverse identity is checked through a certified upper bound on its
-residual in O(nx N).  Building, applying and measuring the transform needs
-no nx x nx temporary and no O(nx^2) work, and ``TransformSet`` holds the
-factors alone.  One recursion (``_phi_recursion``) serves both
+with the recursion run on X alone.  Upsilon enters only through UW, and
+Upsilon e_j has a closed form (``_upsilon_modes``), so the set-up reads
+neither the kernel table nor its coefficients and costs O(nx N^3), linear
+in nx.  The inverse identity is checked through a certified upper bound on
+its residual in O(nx N).  Building, applying and measuring the transform
+needs no nx x nx temporary and no O(nx^2) work, and ``TransformSet`` holds
+the factors alone.  One recursion (``_phi_recursion``) serves both
 ``build_transform``, which raises at the first inadmissible a_j, and
 ``scan_admissibility``, which reports it.  ``upsilon_matrix``, the dense
-Upsilon read from the kernel table, is the one dense reference kept here.
+trapezoidal Upsilon read from the kernel table, is the one dense reference
+kept here; it converges to the closed form at second order in dx.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
     Entry (i, j) is 0 above the diagonal, dx/2 * k(x_i, x_i) on it, and
     dx * k(x_i, x_j) below.  The j = 0 column carries k(x_i, 0) = 0, so the
     missing end-weight there is immaterial.  Reads the kernel table, which
-    forms it; production code uses the moments instead.
+    forms it; the set-up uses the closed form of Upsilon W instead.
     """
     g = kernel.grid
     U = g.dx * np.tril(kernel.values)
@@ -75,88 +71,33 @@ def upsilon_matrix(kernel: Kernel) -> np.ndarray:
     return U
 
 
-# Rows per block of the Volterra moments: the triangle inside a block is
-# summed directly, the columns before it through Taylor-shifted sums.
-MOMENT_BLOCK = 128
+def _upsilon_modes(kernel: Kernel, basis: ModalBasis) -> np.ndarray:
+    """Upsilon W in closed form, in O(nx N).
 
+    v = Upsilon e_j solves nu v'' + (nu lambda_j + mu) v = -mu e_j with
+    v(0) = v'(0) = 0 (Smyshlyaev & Krstic, IEEE TAC 49(12), 2004).  With
+    theta = j pi x / L, the argument of e_j, and r^2 = 1 + mu / (nu lambda_j),
 
-def _powers(v: np.ndarray, order: int) -> np.ndarray:
-    """v^p for p = 0..order by repeated multiplication, shape (order + 1,) + v.shape.
+        Upsilon e_j = sqrt(2/L) sin(r theta) / r - e_j,
 
-    Row p is formed by the same p - 1 products whatever ``order`` is.
-    """
-    out = np.empty((order + 1,) + np.shape(v))
-    out[0] = 1.0
-    out[1:] = v
-    return np.cumprod(out, axis=0, out=out)
-
-
-def _volterra_moments(basis: ModalBasis, order: int) -> np.ndarray:
-    """The mu-free moments M_0..M_order of the Volterra operator, shape (order + 1, nx, N).
-
-    k(x_i, y_j) = -(mu / (2 nu)) y_j sum_m c_m zeta_ij^m with
-    zeta_ij = a_i - a_j and a = x^2 / L^2, so
-    Upsilon W = -(mu / (2 nu)) sum_m c_m M_m with
-
-        M_0 = cumulative trapezoid of f = dx y W (half weight on the diagonal),
-        M_m = strict_tril(zeta^m) f,   m >= 1,
-
-    which depend only on the grid, the modes and m.  The rows run in blocks
-    of MOMENT_BLOCK.  For a block starting at node s, the columns before it
-    contribute, by the binomial theorem,
-
-        sum_{j<s} (a_i - a_j)^m f_j = sum_l C(m, l) (a_i - a_s)^(m-l) S_l,
-        S_l = sum_{j<s} (a_s - a_j)^l f_j,
-
-    and S moves to the next block start by the same shift.  Every weight is
-    nonnegative, so the shift cancels nothing the direct sum does not.  Only
-    the triangle inside the block is summed directly.  Each array that feeds
-    M_m has a shape fixed by m, so M_m is the same bit for bit whatever
-    ``order`` is (a scan forms its moments once, to its largest order).
-    O(nx M (b + M) N) work for block size b and O(nx M N) memory.
+    where sin(r theta) / r reads sinh(|r| theta) / |r| for r^2 < 0 and
+    theta for r = 0.  This is the operator of the full kernel, sampled on
+    the grid; at mu = 0 it is exactly zero.
     """
     g = basis.grid
-    a = (g.nodes / g.length) ** 2
-    f = g.dx * g.nodes[:, None] * basis.W
-    moments = np.empty((order + 1, g.nx, basis.n_modes))
-    moments[0] = np.cumsum(f, axis=0) - 0.5 * f
-    if order == 0:
-        return moments
-    binom = np.array([[math.comb(m, l) for l in range(order + 1)] for m in range(order + 1)],
-                     dtype=float)
-    S = np.zeros((order + 1, basis.n_modes))
-    for start in range(0, g.nx, MOMENT_BLOCK):
-        stop = min(start + MOMENT_BLOCK, g.nx)
-        a_blk, f_blk = a[start:stop], f[start:stop]
-        zeta = np.maximum(a_blk[:, None] - a_blk, 0.0)
-        power = zeta.copy()
-        shift = _powers(a_blk - a[start], order).T
-        for m in range(1, order + 1):
-            if m > 1:
-                power *= zeta
-            block = moments[m, start:stop]
-            np.matmul(power, f_blk, out=block)
-            if start:
-                block += (binom[m, : m + 1] * shift[:, m::-1]) @ S[: m + 1]
-        if stop < g.nx:
-            step = _powers(a[stop] - a[start], order)
-            tail = _powers(a[stop] - a_blk, order)
-            S_next = np.empty_like(S)
-            for l in range(order + 1):
-                S_next[l] = (binom[l, : l + 1] * step[l::-1]) @ S[: l + 1] + tail[l] @ f_blk
-            S = S_next
-    return moments
-
-
-def _upsilon_modes(kernel: Kernel, moments: np.ndarray) -> np.ndarray:
-    """Upsilon W = -(mu / (2 nu)) sum_m c_m M_m from the moments, in O(nx N M).
-
-    ``moments`` may run past the kernel's order; the extra ones are unused.
-    """
-    UW = kernel.coeffs[0] * moments[0]
-    for c, moment in zip(kernel.coeffs[1:], moments[1:]):
-        UW += c * moment
-    UW *= -kernel.mu / (2.0 * kernel.nu)
+    theta = np.outer(g.nodes, np.arange(1, basis.n_modes + 1)) * np.pi / g.length
+    r2 = 1.0 + kernel.mu / (kernel.nu * basis.eigenvalues)
+    UW = np.empty_like(theta)
+    for j, q in enumerate(r2):
+        r = math.sqrt(abs(q))
+        if q > 0.0:
+            UW[:, j] = np.sin(r * theta[:, j]) / r
+        elif q < 0.0:
+            UW[:, j] = np.sinh(r * theta[:, j]) / r
+        else:
+            UW[:, j] = theta[:, j]
+    UW *= math.sqrt(2.0 / g.length)
+    UW -= basis.W
     return UW
 
 
@@ -223,10 +164,7 @@ def _inverse_residual(UW: np.ndarray, X: np.ndarray, basis: ModalBasis) -> float
 
 
 def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
-    """Build the factored transform set from the kernel's coefficients in O(nx M (b + M) N).
-
-    UW is contracted from Volterra moments to the kernel's order M, with
-    b = MOMENT_BLOCK.
+    """Build the factored transform set in O(nx N^3), with UW = Upsilon W in closed form.
 
     Raises InadmissiblePairError when some |1 + a_j| <= ADMISSIBILITY_FLOOR.
     Verifies the inverse identity to INVERSE_TOL in the max norm through a
@@ -237,7 +175,7 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
     g = kernel.grid
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
-    UW = _upsilon_modes(kernel, _volterra_moments(basis, kernel.order))
+    UW = _upsilon_modes(kernel, basis)
     X, scalars, bad = _phi_recursion(UW, basis)
     if bad:
         raise InadmissiblePairError(bad, float(scalars[bad - 1]), ADMISSIBILITY_FLOOR)
@@ -291,10 +229,9 @@ def scan_admissibility(
 
     A sample is inadmissible once some |1 + a_j| <= ADMISSIBILITY_FLOOR.
     Such samples are reported, never raised; past the first inadmissible
-    scalar the remaining entries of a row are NaN.  The Volterra moments are
-    formed once, to the largest order of the samples' kernels, so a sample
-    costs O(nx N M); each admissible row equals ``build_transform`` of its
-    own kernel bit for bit.
+    scalar the remaining entries of a row are NaN.  A sample costs
+    O(nx N^3), and each admissible row equals ``build_transform`` of its own
+    kernel bit for bit.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if steps < 2:
@@ -303,11 +240,10 @@ def scan_admissibility(
         raise InvalidParameterError(f"empty scan range ({lo}, {hi})")
     g = make_grid(length, nx)
     basis = modal_basis(g, n_modes)
-    kernels = [kernel_table(g, float(mu), nu) for mu in np.linspace(lo, hi, steps)]
-    moments = _volterra_moments(basis, max(kern.order for kern in kernels))
     rows = []
-    for kern in kernels:
-        _, scalars, bad = _phi_recursion(_upsilon_modes(kern, moments), basis)
+    for mu in np.linspace(lo, hi, steps):
+        kern = kernel_table(g, float(mu), nu)
+        _, scalars, bad = _phi_recursion(_upsilon_modes(kern, basis), basis)
         rows.append(ScanRow(mu=kern.mu, scalars=tuple(scalars), admissible=not bad))
     return rows
 

@@ -31,16 +31,11 @@ def exp2_tset(exp2_kernel):
 
 @pytest.fixture(scope="session")
 def fine_builds():
-    """1000-node kernels and transforms for both experiment parameter sets."""
+    """1000-node transforms for both experiment parameter sets."""
     g = r.make_grid(1.0, 1000)
-    k6 = r.kernel_table(g, 6.0, 1.0)
-    k15 = r.kernel_table(g, 15.0, 1.0)
     return {
-        "grid": g,
-        "k6": k6,
-        "k15": k15,
-        "t6": r.build_transform(k6, 1),
-        "t15": r.build_transform(k15, 2),
+        "t6": r.build_transform(r.kernel_table(g, 6.0, 1.0), 1),
+        "t15": r.build_transform(r.kernel_table(g, 15.0, 1.0), 2),
     }
 
 

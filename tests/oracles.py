@@ -14,9 +14,10 @@ a transform set's nx x N factors into the dense T and Phi_N.
 ``truncate_order`` and ``kernel_table`` are the two-pass kernel set-up that
 ``rdstab.kernel.kernel_table`` replaced: the order is found by one loop, then
 the coefficients and the achieved gap are formed again to that order.
-``volterra_moments`` forms the mu-free Volterra moments by direct sums over
-the strict lower triangle, against which ``rdstab.transform`` checks its
-Taylor-shifted blocks.
+``upsilon_projected`` is the dense Upsilon P_N from the closed form of
+Upsilon e_j, coded apart from ``rdstab.transform``, for ``phi_apply_recursive``.
+``gain_quadrature_gap`` measures the feedback gain against the trapezoid of
+the kernel's x = L row, an independent quadrature of the same integral.
 """
 
 import math
@@ -24,12 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from rdstab.constants import (
-    ADMISSIBILITY_FLOOR,
-    BLOCK_ENTRIES,
-    DEFAULT_KERNEL_TOL,
-    KERNEL_MAX_ORDER,
-)
+from rdstab.constants import ADMISSIBILITY_FLOOR, DEFAULT_KERNEL_TOL, KERNEL_MAX_ORDER
 from rdstab.errors import (
     ConvergenceError,
     DimensionError,
@@ -39,11 +35,12 @@ from rdstab.errors import (
     NonFiniteStateError,
     check_scalars,
 )
-from rdstab.grid import Grid, laplacian_matrix, trapezoid_weights
-from rdstab.kernel import Kernel
+from rdstab.controller import feedback_gain
+from rdstab.grid import Grid, laplacian_matrix, make_grid, trapezoid_weights
+from rdstab.kernel import Kernel, kernel_table as rd_kernel_table
 from rdstab.simulator import DYNAMICS_MODES, SimulationConfig, _interior
 from rdstab.spectral import ModalBasis, ProjectionMatrix
-from rdstab.transform import TransformSet
+from rdstab.transform import TransformSet, build_transform
 
 
 def assemble_A(
@@ -259,37 +256,33 @@ def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
     )
 
 
-def volterra_moments(basis: ModalBasis, order: int) -> np.ndarray:
-    """The mu-free Volterra moments M_0..M_order by direct sums, shape (order + 1, nx, N).
+def upsilon_projected(kernel: Kernel, basis: ModalBasis) -> np.ndarray:
+    """Dense Upsilon P_N = (Upsilon W)(dx W^T) from the closed form of Upsilon e_j.
 
-    M_0 is the cumulative trapezoid of y W (half weight on the diagonal) and
-    M_m = dx strict_tril(zeta^m) (y W) for m >= 1, with
-    zeta = (x^2 - y^2) / L^2.  The powers of zeta run over the lower triangle
-    in row blocks of about BLOCK_ENTRIES entries: O(nx^2 M N) work.
+    Upsilon e_j = sqrt(2/L) (theta sinc(r theta / pi) - sin theta) with
+    theta = j pi x / L and r = sqrt(1 + mu L^2 / (nu j^2 pi^2)) taken complex,
+    so one expression covers r^2 > 0 (sin), r^2 < 0 (sinh) and r = 0 (theta).
     """
     g = basis.grid
-    y = g.nodes
-    L2 = g.length**2
-    f = g.dx * y[:, None] * basis.W
-    moments = np.empty((order + 1, g.nx, basis.n_modes))
-    moments[0] = np.cumsum(f, axis=0) - 0.5 * f
-    if order == 0:
-        return moments
-    rows = max(1, BLOCK_ENTRIES // g.nx)
-    zeta_buf = np.empty(min(rows, g.nx) * g.nx)
-    power_buf = np.empty_like(zeta_buf)
-    for start in range(0, g.nx, rows):
-        stop = min(start + rows, g.nx)
-        zeta = zeta_buf[: (stop - start) * stop].reshape(stop - start, stop)
-        power = power_buf[: zeta.size].reshape(zeta.shape)
-        x = y[start:stop, None]
-        np.multiply(x - y[:stop], x + y[:stop], out=zeta)
-        zeta /= L2
-        # zeta is 0 on the diagonal and negative above it: strict_tril
-        np.maximum(zeta[:, start:], 0.0, out=zeta[:, start:])
-        np.copyto(power, zeta)
-        for m in range(1, order + 1):
-            if m > 1:
-                power *= zeta
-            np.matmul(power, f[:stop], out=moments[m, start:stop])
-    return moments
+    j = np.arange(1, basis.n_modes + 1)
+    theta = np.pi * g.nodes[:, None] * j / g.length
+    r = np.sqrt(1.0 + kernel.mu * g.length**2 / (kernel.nu * (np.pi * j) ** 2) + 0j)
+    UW = np.sqrt(2.0 / g.length) * (theta * np.sinc(r * theta / np.pi) - np.sin(theta)).real
+    return g.dx * (UW @ basis.W.T)
+
+
+def gain_quadrature_gap(mu: float, nx: int, n_modes: int) -> float:
+    """max |r - q| / max |r| for the gain r and the direct quadrature q, nu = L = 1.
+
+    q is the trapezoid of k(L, y), read from the kernel table, against
+    P_N (I - Phi_N) with the dense Phi_N of the build.  r forms the same
+    integral exactly, so the gap is the trapezoid's error: O(dx^2).
+    """
+    grid = make_grid(1.0, nx)
+    kern = rd_kernel_table(grid, mu, 1.0)
+    tset = build_transform(kern, n_modes)
+    gain = feedback_gain(kern, tset)
+    _, phi = dense_transform(tset)
+    lead = trapezoid_weights(grid) * kern.values[-1]
+    direct = lead @ tset.P.matrix @ (np.eye(nx) - phi)
+    return float(np.max(np.abs(gain - direct)) / np.max(np.abs(gain)))

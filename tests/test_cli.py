@@ -405,6 +405,21 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert f"{name} must be a real number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"u0": {"sine_coeffs": 5}}, "u0 sine_coeffs must be a list of real numbers"),
+            ({"u0": {"sine_coeffs": [None]}}, "u0 sine_coeffs[0] must be a real number"),
+            ({"u0": {"poly_coeffs": "abc"}}, "u0 poly_coeffs[0] must be a real number"),
+            ({"dynamics": ["x"]}, "unknown dynamics mode ['x']"),
+        ],
+    )
+    def test_malformed_config_value(self, raw, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg), "--nx", "20", "--nt", "5"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_forcing_refused_from_config(self, tmp_path, capsys):
         # a callable cannot come from JSON
         cfg = tmp_path / "bad.json"

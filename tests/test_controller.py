@@ -16,7 +16,7 @@ from rdstab.errors import (
     InfeasibleRateError,
     InvalidParameterError,
 )
-from oracles import dense_transform
+from oracles import gain_quadrature_gap
 
 LAM1 = math.pi**2
 
@@ -251,18 +251,22 @@ class TestFeedback:
         g = r.feedback_gain(exp1_kernel, exp1_tset) @ basis2.mode(2)
         assert abs(g) < 1e-10
 
-    def test_gain_row_matches_direct(self, exp2_kernel, exp2_tset):
-        gain = r.feedback_gain(exp2_kernel, exp2_tset)
-        assert gain.shape == (exp2_tset.grid.nx,)
+    def test_gain_is_last_row_of_phi(self, exp1_kernel, exp1_tset, exp2_kernel, exp2_tset):
+        # g(u) = (Phi_N u)(L), since (T - I)(I - Phi_N) = Phi_N
         rng = np.random.default_rng(11)
-        # the quadrature of k(L, y) against P_N (I - Phi_N) u, applied directly
-        wq = r.trapezoid_weights(exp2_tset.grid)
-        lead = wq * exp2_kernel.boundary_row()
-        phi = dense_transform(exp2_tset)[1]
-        for _ in range(4):
-            u = rng.standard_normal(exp2_tset.grid.nx)
-            direct = float(np.dot(lead, exp2_tset.P.apply(u - phi @ u)))
-            assert float(gain @ u) == pytest.approx(direct, abs=1e-10)
+        for kern, tset in ((exp1_kernel, exp1_tset), (exp2_kernel, exp2_tset)):
+            gain = r.feedback_gain(kern, tset)
+            assert gain.shape == (tset.grid.nx,)
+            for _ in range(4):
+                u = rng.standard_normal(tset.grid.nx)
+                phi_u = u - r.inverse_transform(tset, u)
+                assert abs(float(gain @ u) - phi_u[-1]) <= 1e-12 * max(1.0, abs(phi_u[-1]))
+
+    def test_gain_row_matches_direct(self):
+        # the trapezoid of k(L, y) against P_N (I - Phi_N) converges to the
+        # gain at second order
+        ratio = gain_quadrature_gap(15.0, 200, 2) / gain_quadrature_gap(15.0, 399, 2)
+        assert 3.5 <= ratio <= 4.5
 
     def test_grid_mismatch(self, exp1_tset):
         other = r.kernel_table(r.make_grid(1.0, 100), 0.0, 1.0)

@@ -4,14 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import j1
+from scipy.special import i1, j1
 
 import rdstab as r
-from rdstab.constants import ADMISSIBILITY_FLOOR, KERNEL_MAX_ORDER, REFERENCE_SCALAR_TOL
+from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
 from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
-from oracles import dense_transform, phi_apply_recursive, volterra_moments
+from oracles import dense_transform, gain_quadrature_gap, phi_apply_recursive, upsilon_projected
 
 # continuum values of the admissibility scalars, computed independently from
 # the Bessel closed form of the kernel with adaptive double quadrature
@@ -20,12 +20,13 @@ REF_1A1_MU15 = 0.253995242581
 REF_1A2_MU15 = 0.854035349279
 
 
-def closed_form(x, y, mu):
-    z = mu * (x * x - y * y)
+def closed_form(x, y, mu, nu=1.0):
+    """Bessel closed form of the kernel: J1 for mu > 0, I1 for mu < 0."""
+    z = (mu / nu) * (x * x - y * y)
     if z == 0.0:
-        return -mu * y / 2.0
-    w = math.sqrt(z)
-    return -(mu * y / 2.0) * 2.0 * j1(w) / w
+        return -mu * y / (2.0 * nu)
+    w = math.sqrt(abs(z))
+    return -(mu * y / (2.0 * nu)) * 2.0 * (j1(w) if z > 0.0 else i1(w)) / w
 
 
 def test_upsilon_three_case_weighting(grid200, exp1_kernel):
@@ -38,23 +39,60 @@ def test_upsilon_three_case_weighting(grid200, exp1_kernel):
     assert U[i, j] == pytest.approx(grid200.dx * exp1_kernel.values[i, j])
 
 
-def test_upsilon_against_adaptive_quadrature(fine_builds):
-    # (Upsilon e_1)(x_i) vs adaptive quadrature of the integral, 1000 nodes
-    g = fine_builds["grid"]
-    U = r.upsilon_matrix(fine_builds["k6"])
-    e1 = np.sqrt(2.0) * np.sin(np.pi * g.nodes)
-    Ue1 = U @ e1
-    scale = np.max(np.abs(Ue1))
-    for i in (333, 666, 999):
-        x = g.nodes[i]
-        ref, _ = quad(
-            lambda y: closed_form(x, y, 6.0) * math.sqrt(2.0) * math.sin(math.pi * y),
-            0.0,
-            x,
-            epsabs=1e-12,
-            limit=200,
-        )
-        assert abs(Ue1[i] - ref) / scale < 1e-4
+def _upsilon_e_quad(x, mu, nu, length, j):
+    """(Upsilon e_j)(x) by adaptive quadrature of the Bessel kernel."""
+    ref, _ = quad(
+        lambda y: closed_form(x, y, mu, nu) * math.sqrt(2.0 / length) * math.sin(j * math.pi * y / length),
+        0.0,
+        x,
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return ref
+
+
+# (mu, nu, L) of the closed-form checks; for j = 1, mu = -12 takes the sinh
+# branch (r^2 < 0) and mu = -lambda_1 the r = 0 one
+UPSILON_CASES = [
+    (6.0, 1.0, 1.0),
+    (6.0, 0.5, 2.0),
+    (-12.0, 1.0, 1.0),
+    (-r.eigenvalue(1, 1.0), 1.0, 1.0),
+    (60.0, 1.0, 1.0),
+]
+
+
+def test_upsilon_against_adaptive_quadrature():
+    # (Upsilon e_j)(x_i) vs adaptive quadrature of the Bessel kernel, 1000
+    # nodes: the trapezoidal table to discretization error, the closed-form
+    # UW of the build to rounding
+    for mu, nu, length in UPSILON_CASES:
+        g = r.make_grid(length, 1000)
+        kern = r.kernel_table(g, mu, nu)
+        tset = r.build_transform(kern, 3)
+        trapezoid = r.upsilon_matrix(kern) @ tset.basis.W
+        scale = np.max(np.abs(tset.UW))
+        for i in (333, 666, 999):
+            for j in (1, 2, 3):
+                ref = _upsilon_e_quad(g.nodes[i], mu, nu, length, j)
+                assert abs(trapezoid[i, j - 1] - ref) / scale < 1e-4
+                assert abs(tset.UW[i, j - 1] - ref) / scale <= 1e-12
+
+
+@pytest.mark.parametrize("mu, nu, length", UPSILON_CASES + [(150.0, 1.0, 1.0), (1e-6, 1.0, 1.0)])
+def test_trapezoidal_upsilon_converges_to_closed_form(mu, nu, length):
+    # the gap between the dense trapezoidal table and the closed form falls
+    # at second order: by a factor of about 4 per halving of dx
+    gaps = []
+    for nx in (101, 201, 401):
+        g = r.make_grid(length, nx)
+        kern = r.kernel_table(g, mu, nu)
+        basis = r.modal_basis(g, 3)
+        UW = r.transform._upsilon_modes(kern, basis)
+        gaps.append(np.max(np.abs(r.upsilon_matrix(kern) @ basis.W - UW)))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_phi_zero_for_zero_kernel(grid200):
@@ -109,10 +147,10 @@ def test_phi_ignores_unprojected_directions(exp2_tset):
 
 
 def test_per_vector_path_matches_matrix(exp2_kernel):
-    U = r.upsilon_matrix(exp2_kernel)
     rng = np.random.default_rng(3)
     for n_modes in (1, 2, 3):
         tset = r.build_transform(exp2_kernel, n_modes)
+        U = upsilon_projected(exp2_kernel, tset.basis)
         phi = dense_transform(tset)[1]
         v = rng.standard_normal(tset.grid.nx)
         assert np.max(np.abs(phi @ v - phi_apply_recursive(U, tset.basis, v))) < 1e-10
@@ -128,7 +166,7 @@ def test_synthetic_inadmissible_scalar_raises(a1_root):
     assert abs(1.0 + exc.value.value) <= ADMISSIBILITY_FLOOR
     basis = r.modal_basis(kern.grid, 1)
     with pytest.raises(InadmissiblePairError):
-        phi_apply_recursive(r.upsilon_matrix(kern), basis, basis.mode(1))
+        phi_apply_recursive(upsilon_projected(kern, basis), basis, basis.mode(1))
 
 
 def test_scan_reports_experiment_value():
@@ -250,9 +288,9 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     kern = r.kernel_table(g, mu, 1.0)
     tset = r.build_transform(kern, n_modes)
     basis = tset.basis
-    U = r.upsilon_matrix(kern)
+    U = upsilon_projected(kern, basis)
     eye = np.eye(nx)
-    T = eye + U @ r.projection_matrix(basis).matrix
+    T = eye + U
     Phi = np.column_stack([phi_apply_recursive(U, basis, e) for e in eye])
     v = np.random.default_rng(seed).standard_normal(nx)
     scale = np.max(np.abs(v))
@@ -262,11 +300,12 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     assert np.max(np.abs(r.forward_transform(tset, v) - T @ v)) <= 1e-12 * scale
     assert np.max(np.abs(dense_transform(tset)[1] - Phi)) <= 1e-12 * max(1.0, np.max(np.abs(Phi)))
 
-    # gain against the direct quadrature of k(L, y) against P_N (I - Phi_N)
-    lead = r.trapezoid_weights(g) * kern.boundary_row()
-    direct = lead @ r.projection_matrix(basis).matrix @ (eye - Phi)
+    # the gain is the last row of Phi_N, and the trapezoid of k(L, y) against
+    # P_N (I - Phi_N) converges to it at second order
     gain = r.feedback_gain(kern, tset)
-    assert np.max(np.abs(gain - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+    assert np.max(np.abs(gain - Phi[-1])) <= 1e-12 * max(1.0, np.max(np.abs(Phi[-1])))
+    ratio = gain_quadrature_gap(mu, nx, n_modes) / gain_quadrature_gap(mu, 2 * nx - 1, n_modes)
+    assert 3.5 <= ratio <= 4.5
 
     assert np.max(np.abs((eye - Phi) @ T - eye)) < 1e-10
     assert np.max(np.abs(T @ (eye - Phi) - eye)) < 1e-10
@@ -300,42 +339,8 @@ def test_factored_build_allocates_no_dense_matrix():
     assert "matrix" not in vars(tset.P)
 
 
-def _moment_upsilon_gap(mu, nx, n_modes):
-    """max |UW - Upsilon W| of the moment-built UW against the dense oracle, and its bound.
-
-    The bound is 1e-12 sum |c_m| max |Upsilon W|, the cancellation of the
-    alternating series, plus the smallest normal double for the subnormal
-    kernels of a tiny mu.
-    """
-    kern = r.kernel_table(r.make_grid(1.0, nx), mu, 1.0)
-    basis = r.modal_basis(kern.grid, n_modes)
-    UW = r.transform._upsilon_modes(kern, r.transform._volterra_moments(basis, kern.order))
-    dense = r.upsilon_matrix(kern) @ basis.W
-    bound = 1e-12 * np.sum(np.abs(kern.coeffs)) * np.max(np.abs(dense)) + np.finfo(float).tiny
-    return np.max(np.abs(UW - dense)), bound
-
-
-@settings(max_examples=40, deadline=None)
-@given(mu=st.floats(0.0, 60.0), nx=st.integers(40, 300), n_modes=st.integers(1, 3))
-def test_moment_upsilon_matches_dense_oracle(mu, nx, n_modes):
-    gap, bound = _moment_upsilon_gap(mu, nx, n_modes)
-    assert gap <= bound
-
-
-def test_moment_upsilon_matches_dense_oracle_at_large_mu(monkeypatch):
-    # mu = 150 has alternating coefficients up to ~800 (order 25); 7-row
-    # blocks with a ragged tail exercise the blocking
-    monkeypatch.setattr(r.transform, "MOMENT_BLOCK", 7)
-    gap, bound = _moment_upsilon_gap(150.0, 300, 3)
-    assert gap <= bound
-    kern = r.kernel_table(r.make_grid(1.0, 300), 150.0, 1.0)
-    tset = r.build_transform(kern, 1)
-    assert np.max(np.abs(tset.UW - r.upsilon_matrix(kern) @ tset.basis.W)) <= bound
-
-
 def test_scan_rows_equal_builds_bit_for_bit():
-    # the scan forms its moments once, to its largest order; each admissible
-    # row must still equal a build from that sample's own kernel
+    # each admissible scan row must equal a build from that sample's own kernel
     nx = 150
     g = r.make_grid(1.0, nx)
     rows = r.scan_admissibility(1.0, 1.0, 3, (-10.0, 62.0), 13, nx=nx)
@@ -369,51 +374,10 @@ def test_inverse_residual_matches_dense(exp2_kernel, row):
             assert got == pytest.approx(dense, rel=1e-10)
 
 
-def _moment_gap(nx, mu, n_modes):
-    """Largest gap of the shifted moments to the direct sums, relative to each moment's max."""
-    basis = r.modal_basis(r.make_grid(1.0, nx), n_modes)
-    order = r.kernel_table(basis.grid, mu, 1.0).order
-    got = r.transform._volterra_moments(basis, order)
-    ref = volterra_moments(basis, order)
-    return max(np.max(np.abs(got[m] - ref[m])) / np.max(np.abs(ref[m])) for m in range(order + 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    nx=st.integers(12, 300),
-    mu=st.floats(0.0, 150.0),
-    n_modes=st.integers(1, 3),
-    block=st.sampled_from([1, 2, 7, 64, 128, 1000]),
-)
-# always: one row per block, a ragged tail, exact blocks, one block, at the
-# largest mu
-@example(nx=60, mu=150.0, n_modes=3, block=1)
-@example(nx=300, mu=150.0, n_modes=3, block=7)
-@example(nx=256, mu=150.0, n_modes=3, block=128)
-@example(nx=300, mu=150.0, n_modes=3, block=1000)
-def test_shifted_moments_match_direct_sums(nx, mu, n_modes, block):
-    # block 1 leaves nothing to the direct triangle, 7 and 64 leave a ragged
-    # tail for most nx, and 1000 >= nx sums everything directly
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(r.transform, "MOMENT_BLOCK", block)
-        assert _moment_gap(nx, mu, n_modes) <= 1e-13
-
-
-def test_moment_m_independent_of_order(monkeypatch):
-    # the scan forms its moments to its largest order, a build to its own:
-    # moment m must not depend on which
-    monkeypatch.setattr(r.transform, "MOMENT_BLOCK", 16)
-    basis = r.modal_basis(r.make_grid(1.0, 150), 3)
-    full = r.transform._volterra_moments(basis, KERNEL_MAX_ORDER)
-    assert np.all(np.isfinite(full))
-    for m in (0, 1, 2, 3, 5, 8, 12, 19, 25, 40, 77, 150, KERNEL_MAX_ORDER):
-        assert np.array_equal(r.transform._volterra_moments(basis, m)[m], full[m])
-
-
 def test_setup_memory_linear_in_nx():
-    # kernel, build and gain at nx = 64000 allocate at most twice the
-    # moments' 8 nx N (M + 1) bytes: no nx x nx array, and no nx x MOMENT_BLOCK
-    # one (65 MB here)
+    # kernel, build and gain at nx = 64000 allocate at most ten nx x N arrays
+    # (10 MB here): no nx x nx array, and nothing that grows with the kernel's
+    # order
     nx, n_modes = 64000, 2
     g = r.make_grid(1.0, nx)
     tracemalloc.start()
@@ -424,4 +388,4 @@ def test_setup_memory_linear_in_nx():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * nx * n_modes * (kern.order + 1)
+    assert peak < 10 * 8 * nx * n_modes
