@@ -129,7 +129,12 @@ def run_experiment(
     out_dir: Optional[str] = None,
     full_state: bool = False,
 ):
-    """Run one canned experiment; returns (trajectory, report, fit)."""
+    """Run one canned experiment; returns (trajectory, report, fit).
+
+    ``full_state`` keeps the (nt, nx) state history in the trajectory and
+    writes it to state.csv; without it the march holds O(nx) memory and
+    ``trajectory.states`` is the final level alone.
+    """
     if preset not in EXPERIMENT_PRESETS:
         raise InvalidParameterError(
             f"unknown preset {preset!r}; choose from {sorted(EXPERIMENT_PRESETS)}"
@@ -139,7 +144,7 @@ def run_experiment(
         config.nu, config.alpha, config.mu, config.n_modes, config.length,
         nx=config.nx, smallness=(config.model == "nonlinear"),
     )
-    trajectory = run_simulation(config)
+    trajectory = run_simulation(config, full_state=full_state)
     fit = fit_decay_rate(trajectory)
     if out_dir is not None:
         export(trajectory, report, fit, out_dir, config=config, full_state=full_state)
@@ -165,8 +170,13 @@ def export(
     """Write norms.csv, design.json, fit.json (and state.csv) into out_dir.
 
     Values use 17 significant digits so re-reading reproduces the floats
-    bit-exactly.  Returns the list of files written.
+    bit-exactly.  Returns the list of files written.  ``full_state`` needs a
+    trajectory that kept its state history; otherwise InvalidParameterError
+    is raised before anything is written.
     """
+    if full_state and trajectory is not None and trajectory.states.shape[0] != trajectory.nt:
+        raise InvalidParameterError(
+            "state.csv needs the state history; march with full_state=True to keep it")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -319,7 +329,7 @@ def _load_config(args) -> SimulationConfig:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
-    trajectory = run_simulation(config)
+    trajectory = run_simulation(config, full_state=args.full_state)
     try:
         fit = fit_decay_rate(trajectory)
     except (FitError, InvalidParameterError):

@@ -9,8 +9,8 @@ tests and the implementation cannot silently drift apart.
 DEFAULT_KERNEL_TOL = 1e-12
 KERNEL_MAX_ORDER = 200
 
-# Entries per row block of the blocked passes over nx x nx tables (512 KB
-# of float64, sized to stay in cache).
+# Entries per row block of the blocked passes over nx x nx tables and of the
+# march's ring of levels (512 KB of float64, sized to stay in cache).
 BLOCK_ENTRIES = 2**16
 
 # Invertibility of the transform.  The construction requires every recursion

@@ -106,11 +106,14 @@ def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
 def l2_norm(values: np.ndarray, grid: Grid):
     """Discrete L2 norm induced by :func:`inner_product`.
 
-    A float for one vector; an array of row norms for a (k, nx) stack.
+    A float for one vector; an array of row norms for a (k, nx) stack.  A row
+    whose squares overflow is rescaled (see :func:`_rescale_overflow`).
     """
     values = grid.check_stack(values)
-    out = np.sqrt(np.einsum("...i,...i,i->...", values, values, trapezoid_weights(grid)))
-    return float(out) if values.ndim == 1 else out
+    with np.errstate(over="ignore"):  # rescaled below
+        out = np.sqrt(np.einsum("...i,...i,i->...", values, values, trapezoid_weights(grid)))
+    out = _rescale_overflow(np.atleast_1d(out), values, lambda v: l2_norm(v, grid))
+    return float(out[0]) if values.ndim == 1 else out
 
 
 def h1_norm(values: np.ndarray, grid: Grid):
@@ -118,7 +121,8 @@ def h1_norm(values: np.ndarray, grid: Grid):
 
     The derivative part is dx * sum_i ((v_{i+1} - v_i)/dx)^2, the cheapest
     consistent realization of the continuum seminorm.  A float for one
-    vector; an array of row norms for a (k, nx) stack.
+    vector; an array of row norms for a (k, nx) stack.  A row whose squares
+    overflow is rescaled (see :func:`_rescale_overflow`).
     """
     values = grid.check_stack(values)
     stack = np.atleast_2d(values)
@@ -127,13 +131,29 @@ def h1_norm(values: np.ndarray, grid: Grid):
     # for its differences and no fresh temporary per block
     rows = max(1, BLOCK_ENTRIES // grid.nx)
     buf = np.empty((min(rows, stack.shape[0]), grid.nx - 1))
-    for i in range(0, stack.shape[0], rows):
-        block = stack[i:i + rows]
-        diff = buf[: block.shape[0]]
-        np.subtract(block[:, 1:], block[:, :-1], out=diff)
-        semi[i:i + rows] = np.einsum("ij,ij->i", diff, diff)
-    out = np.sqrt(l2_norm(values, grid) ** 2 + semi / grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below; inf - inf is nan
+        for i in range(0, stack.shape[0], rows):
+            block = stack[i:i + rows]
+            diff = buf[: block.shape[0]]
+            np.subtract(block[:, 1:], block[:, :-1], out=diff)
+            semi[i:i + rows] = np.einsum("ij,ij->i", diff, diff)
+        out = np.sqrt(np.square(l2_norm(values, grid)) + semi / grid.dx)
+    out = _rescale_overflow(out, values, lambda v: h1_norm(v, grid))
     return float(out[0]) if values.ndim == 1 else out
+
+
+def _rescale_overflow(out: np.ndarray, values: np.ndarray, norm) -> np.ndarray:
+    """Recompute the entries of ``out`` that are inf although their rows are finite.
+
+    Such a row v overflowed in its squares; as in dnrm2 its norm is taken as
+    s * norm(v / s) with s = max|v|.  Every other entry keeps its bits.
+    """
+    stack = np.atleast_2d(values)
+    for i in np.flatnonzero(np.isinf(out)):
+        if np.isfinite(stack[i]).all():
+            s = float(np.abs(stack[i]).max())
+            out[i] = s * norm(stack[i] / s)
+    return out
 
 
 @dataclass(frozen=True)

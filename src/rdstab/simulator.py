@@ -26,6 +26,11 @@ through the Woodbury identity in O(nx*N).  A linear run factors the core once
 (LAPACK gttrf) and folds the low-rank correction into one nx x k matrix, so a
 step is one gttrs plus two thin products.  A Newton iteration shifts the
 diagonal, so it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
+
+The march holds O(nx) memory: levels go into a ring of one block of about
+BLOCK_ENTRIES / nx levels, and the block's norms and controls are formed
+when it fills.  A run that keeps its (nt, nx) state history uses that
+history as the ring, so both give the same norms and controls bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
-from .constants import DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
+from .constants import BLOCK_ENTRIES, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
 from .controller import feedback_gain
 from .errors import (
     InvalidParameterError,
@@ -128,15 +133,15 @@ class SimulationConfig:
             raise InvalidParameterError("Newton iteration budget must be at least 1")
         if self.forcing is not None and self.model != "linear":
             raise InvalidParameterError("forcing terms are supported for the linear model only")
-        # the states; set-up keeps only nx x N factors
-        check_fits(8 * self.nt * self.nx, f"nx = {self.nx}, nt = {self.nt}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Time history of one run.
 
-    ``controls[n]`` is the feedback value g(u^n) of level n (zero outside
+    ``states`` is the (nt, nx) history of a run that keeps it and otherwise
+    only the final level, shape (1, nx); either way ``states[-1]`` is the last
+    level.  ``controls[n]`` is the feedback value g(u^n) of level n (zero outside
     the closed loop).  The boundary law is implicit, so ``states[n, -1]`` equals it
     to rounding for n >= 1; the initial state need not satisfy it.
     ``newton_iters[n]`` counts the Newton solves that produced level n (zero
@@ -314,29 +319,32 @@ class _Stepper:
         return y - np.dot(YU, _capacitance_solve(S, np.dot(y, self.V)))
 
 
-def _package(grid, times, states, iters, gain) -> Trajectory:
-    return Trajectory(
-        times=times,
-        states=states,
-        controls=states @ gain if gain is not None else np.zeros(times.shape[0]),
-        l2_norms=l2_norm(states, grid),
-        h1_norms=h1_norm(states, grid),
-        newton_iters=iters,
-    )
-
-
-def run_simulation(config: SimulationConfig) -> Trajectory:
+def run_simulation(config: SimulationConfig, full_state: bool = True) -> Trajectory:
     """March the configured model from t = 0 to t = tmax.
 
+    With ``full_state`` the trajectory keeps the (nt, nx) state history, and a
+    history larger than physical memory is refused before any set-up; without
+    it the march holds one block of levels and ``states`` is the final level
+    alone.  Norms, controls and Newton counts are the same bits either way.
     Deterministic: identical configs produce identical trajectories.  A
     solver failure (Newton budget exhausted, non-finite state) is raised with
     the truncated trajectory attached as ``err.partial``.
     """
     config.validate()
+    if full_state:
+        _check_history_fits(config)
     grid = make_grid(config.length, config.nx)
     u0 = initial_state(config, grid)
     gain = _feedback_row(config, grid) if config.dynamics == "closed_loop" else None
-    return _march(config, grid, u0, gain)
+    return _march(config, grid, u0, gain, full_state)
+
+
+def _check_history_fits(config: SimulationConfig) -> None:
+    """Refuse an (nt, nx) state history larger than physical memory (InvalidParameterError).
+
+    The set-up keeps only nx x N factors, so the history is what counts.
+    """
+    check_fits(8 * config.nt * config.nx, f"the state history of nx = {config.nx}, nt = {config.nt}")
 
 
 def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
@@ -345,23 +353,64 @@ def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
     return feedback_gain(kern, build_transform(kern, config.n_modes))
 
 
+def _block_levels(nx: int) -> int:
+    """Levels per block of the march: about BLOCK_ENTRIES / nx, at least one.
+
+    OpenBLAS's gemv takes rows in groups of 8, so a block of a multiple of 8
+    levels gives ``block @ gain`` the bits of the product over the whole history.
+    """
+    block = max(1, BLOCK_ENTRIES // nx)
+    return block - block % 8 if block >= 8 else block
+
+
 def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
-           gain: Optional[np.ndarray]) -> Trajectory:
-    """March from u0 under ``config.dynamics``; ``gain`` is the closed loop's feedback row."""
+           gain: Optional[np.ndarray], full_state: bool = True) -> Trajectory:
+    """March from u0 under ``config.dynamics``; ``gain`` is the closed loop's feedback row.
+
+    Level n goes into row n % len(ring) of a ring.  The ring is the (nt, nx)
+    history with ``full_state`` and one block of ``_block_levels(nx)`` levels
+    otherwise.  Whenever a block fills, its norms and controls are formed
+    before the ring row of its first level is written again, so both cases
+    form them block by block and agree bit for bit.
+    """
     P = None
     if config.dynamics == "target":
         P = projection_matrix(modal_basis(grid, config.n_modes))
     stepper = _Stepper(config, grid, P, gain)
-    times = np.linspace(0.0, config.tmax, config.nt)
-    states = np.empty((config.nt, grid.nx))
-    iters = np.zeros(config.nt, dtype=int)
-    states[0] = u0
+    nt = config.nt
+    block = _block_levels(grid.nx)
+    ring = np.empty((nt if full_state else min(block, nt), grid.nx))
+    times = np.linspace(0.0, config.tmax, nt)
+    controls = np.zeros(nt)
+    l2 = np.empty(nt)
+    h1 = np.empty(nt)
+    iters = np.zeros(nt, dtype=int)
+    done = 0  # levels whose norms and controls are formed
+
+    def flush(end: int) -> None:
+        # levels done .. end - 1 lie in consecutive ring rows: done is a block start
+        nonlocal done
+        start = done % ring.shape[0]
+        rows = ring[start:start + end - done]
+        l2[done:end] = l2_norm(rows, grid)
+        h1[done:end] = h1_norm(rows, grid)
+        if gain is not None:
+            controls[done:end] = rows @ gain
+        done = end
+
+    def package(end: int) -> Trajectory:
+        flush(end)
+        states = ring[:end] if full_state else ring[(end - 1) % ring.shape[0]][None].copy()
+        return Trajectory(times=times[:end], states=states, controls=controls[:end],
+                          l2_norms=l2[:end], h1_norms=h1[:end], newton_iters=iters[:end])
+
+    ring[0] = u0
+    u = u0
     dt = config.dt
     x = grid.nodes
     # overflow surfaces as NonFiniteStateError below
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(config.nt - 1):
-            u = states[n]
+        for n in range(nt - 1):
             try:
                 if config.model == "linear":
                     rhs = 2.0 * u - stepper.matvec(u)
@@ -374,11 +423,13 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
                 if not np.isfinite(u).all():
                     raise NonFiniteStateError(n)
             except SolverError as err:
-                err.partial = _package(grid, times[: n + 1], states[: n + 1], iters[: n + 1], gain)
+                err.partial = package(n + 1)
                 raise
             u[0] = 0.0  # the pivoted tridiagonal solve leaves rounding in this row
-            states[n + 1] = u
-    return _package(grid, times, states, iters, gain)
+            if (n + 1) % block == 0:
+                flush(n + 1)
+            ring[(n + 1) % ring.shape[0]] = u
+    return package(nt)
 
 
 def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: int):
@@ -438,6 +489,7 @@ def run_target_consistency(config: SimulationConfig):
     mismatch[n] = ||u^n - T w^n||_2 / ||u0||_2 with w0 = (I - Phi) u0.
     """
     config.validate()
+    _check_history_fits(config)
     if config.model != "linear":
         raise InvalidParameterError("target consistency is defined for the linear model")
     grid = make_grid(config.length, config.nx)

@@ -198,7 +198,7 @@ def test_criterion_05_experiment_1(capsys):
 
 def test_criterion_06_experiment_2(capsys):
     t0 = time.perf_counter()
-    traj_u, _, _ = run_experiment("exp2_uncontrolled")
+    traj_u, _, _ = run_experiment("exp2_uncontrolled", full_state=True)  # reads states[-2]
     traj_c, _, fit_c = run_experiment("exp2")
     elapsed = time.perf_counter() - t0
     dt = traj_u.times[1] - traj_u.times[0]

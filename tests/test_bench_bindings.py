@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import rdstab
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -35,3 +37,10 @@ def test_traced_bindings_resolve_to_callables():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_trajectory_span_reads_a_run_without_history():
+    # the traced run's experiments march without the state history
+    traj = rdstab.run_simulation(rdstab.SimulationConfig(nx=40, nt=25), full_state=False)
+    attrs = _load_layers()._trajectory(traj)
+    assert attrs == {"steps": 24, "nx": 40, "newton_iters": 0}

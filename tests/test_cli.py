@@ -190,6 +190,16 @@ class TestExport:
         for name in ("norms.csv", "design.json", "fit.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_full_state_needs_the_history(self, tmp_path):
+        traj = r.run_simulation(r.SimulationConfig(nx=30, nt=20), full_state=False)
+        assert traj.states.shape == (1, 30)
+        out = tmp_path / "run"
+        with pytest.raises(InvalidParameterError, match="state history") as exc:
+            export(traj, None, None, str(out), full_state=True)
+        assert exc.value.exit_code == 2
+        assert not out.exists()
+        assert export(traj, None, None, str(out)) == ["norms.csv", "manifest.json"]
+
 
 def run_cli(*argv):
     return subprocess.run(
@@ -249,6 +259,44 @@ class TestMainInProcess:
         ])
         assert rc == 0
         assert (tmp_path / "state.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--nx", "30", "--nt", "20"],
+        ["experiment", "exp1", "--nx", "30", "--nt", "20"],
+    ], ids=["simulate", "experiment"])
+    def test_history_kept_only_for_full_state(self, argv, tmp_path, monkeypatch, capsys):
+        kept = []
+
+        def recording(config, full_state=True):
+            kept.append(full_state)
+            return r.run_simulation(config, full_state=full_state)
+
+        monkeypatch.setattr(rdstab.cli, "run_simulation", recording)
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b"), "--full-state"]) == 0
+        assert kept == [False, True]
+        assert not (tmp_path / "a" / "state.csv").exists()
+        assert (tmp_path / "b" / "state.csv").exists()
+        for name in ("norms.csv", "fit.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        capsys.readouterr()
+
+    def test_overflowing_norm_stays_finite(self, tmp_path, capsys):
+        # the states are finite but their squares overflow; the norm is rescaled
+        def final_and_rate(amp, nt):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"u0": {"sine_coeffs": [amp]}}))
+            assert main(["simulate", "--config", str(cfg), "--nx", "20", "--nt", nt]) == 0
+            out = capsys.readouterr().out
+            rate = re.search(r"fitted rate: (\S+)", out)
+            return float(re.search(r"final l2 norm: (\S+)", out).group(1)), rate and rate.group(1)
+
+        final, _ = final_and_rate(1e300, "5")
+        assert math.isfinite(final) and final > 1e298
+        final, rate = final_and_rate(1e300, "50")
+        unit_final, unit_rate = final_and_rate(1.0, "50")
+        assert final == pytest.approx(1e300 * unit_final, rel=1e-6)  # 7 printed digits
+        assert rate is not None and rate == unit_rate
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -336,8 +384,10 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_run_larger_than_memory_exit_2(self, capsys):
-        # refused by SimulationConfig.validate before any array is allocated
-        assert main(["simulate", "--nx", "10000000", "--nt", "10000000"]) == 2
+        # the kept history is refused before any array is allocated; never run
+        # these sizes without --full-state, which would start 1e14 node-steps
+        argv = ["simulate", "--nx", "10000000", "--nt", "10000000", "--full-state"]
+        assert main(argv) == 2
         assert "physical memory" in capsys.readouterr().err
 
     def test_kernel_table_larger_than_memory_exit_2(self, tmp_path, capsys):

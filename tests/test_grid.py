@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rdstab as r
 from rdstab.errors import DimensionError, InvalidParameterError
@@ -140,3 +141,38 @@ def test_h1_norm_row_blocks_match_whole_stack(monkeypatch):
     diff = np.diff(stack, axis=-1)
     whole = np.sqrt(r.l2_norm(stack, g) ** 2 + np.einsum("ij,ij->i", diff, diff) / g.dx)
     assert np.array_equal(r.h1_norm(stack, g), whole)
+
+
+def _plain_norms(stack, g):
+    """The unscaled formulas of l2_norm and h1_norm, for rows that do not overflow."""
+    l2 = np.sqrt(np.einsum("...i,...i,i->...", stack, stack, r.trapezoid_weights(g)))
+    diff = np.diff(stack, axis=-1)
+    return l2, np.sqrt(l2**2 + np.einsum("ij,ij->i", diff, diff) / g.dx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(3, 80),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-150, 150),
+)
+def test_ordinary_rows_keep_their_bits(nx, rows, seed, exponent):
+    # rows whose squares neither overflow nor vanish take the plain formula, bit for bit
+    g = r.make_grid(1.0, nx)
+    stack = np.random.default_rng(seed).standard_normal((rows, nx)) * 10.0**exponent
+    l2, h1 = _plain_norms(stack, g)
+    assert np.array_equal(r.l2_norm(stack, g), l2)
+    assert np.array_equal(r.h1_norm(stack, g), h1)
+
+
+def test_overflowing_row_is_rescaled():
+    g = r.make_grid(1.0, 200)
+    sine = np.sin(np.pi * g.nodes)
+    stack = np.stack([sine, 1e300 * sine, np.full(g.nx, np.inf)])
+    for norm in (r.l2_norm, r.h1_norm):
+        out = norm(stack, g)
+        assert out[1] == pytest.approx(1e300 * norm(sine, g), rel=1e-14)
+        assert norm(1e300 * sine, g) == out[1]
+        assert out[0] == norm(sine, g)
+        assert not np.isfinite(out[2])  # a non-finite row is left as it is

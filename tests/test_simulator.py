@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,30 +96,39 @@ class TestConfig:
 
     @pytest.mark.parametrize("dynamics", ["closed_loop", "open_loop"], ids=["feedback", "off"])
     def test_refuses_run_larger_than_memory(self, dynamics):
-        # 8 * 1e14 bytes of states; validation refuses before anything is allocated
+        # 8 * 1e14 bytes of state history, refused before any set-up; a run
+        # without the history is never started at these sizes (1e14 node-steps)
         c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics=dynamics)
+        c.validate()
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            c.validate()
+            rdstab.simulator._check_history_fits(c)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             r.run_simulation(c)
 
     def test_states_alone_count_against_memory(self, monkeypatch):
-        # set-up keeps only nx x N factors: states that fit pass even where
-        # states plus an nx x nx kernel table would not
+        # set-up keeps only nx x N factors: a history that fits passes even where
+        # it plus an nx x nx kernel table would not
         c = cfg(nx=10**6, nt=10, mu=6.0, dynamics="closed_loop")
         states = 8 * c.nt * c.nx
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states + 4 * c.nx**2)
-        c.validate()
+        rdstab.simulator._check_history_fits(c)
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states - 1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            c.validate()
+            rdstab.simulator._check_history_fits(c)
+
+    def test_history_counts_only_where_kept(self, monkeypatch):
+        c = cfg(alpha=12.0, mu=6.0, dynamics="closed_loop")
+        monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: 8 * c.nt * c.nx - 1)
+        assert r.run_simulation(c, full_state=False).nt == c.nt
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            r.run_simulation(c)
 
     def test_memory_check_skipped_without_sysconf(self, monkeypatch):
         def unsupported(name):
             raise ValueError(f"unrecognized configuration name {name!r}")
 
         monkeypatch.setattr(rdstab.errors.os, "sysconf", unsupported)
-        cfg(nx=10**7, nt=10**7).validate()
+        rdstab.simulator._check_history_fits(cfg(nx=10**7, nt=10**7))
 
 
 class TestInitialState:
@@ -404,8 +414,14 @@ class TestStepper:
         # the core is factored at set-up, before the march has a level to report
         assert not hasattr(exc.value, "partial")
 
-    @pytest.mark.parametrize("routine, model", [("dgttrs", "linear"), ("dgtsv", "nonlinear")])
-    def test_march_info_raises_solver_error_with_partial(self, monkeypatch, routine, model):
+    @pytest.mark.parametrize("routine, model, full_state", [
+        pytest.param("dgttrs", "linear", True, id="dgttrs-linear"),
+        pytest.param("dgtsv", "nonlinear", True, id="dgtsv-nonlinear"),
+        pytest.param("dgttrs", "linear", False, id="dgttrs-linear-no_history"),
+        pytest.param("dgtsv", "nonlinear", False, id="dgtsv-nonlinear-no_history"),
+    ])
+    def test_march_info_raises_solver_error_with_partial(self, monkeypatch, routine, model,
+                                                         full_state):
         c = cfg(model=model, alpha=12.0, mu=6.0, dynamics="closed_loop")
         clean = r.run_simulation(c)
         # dgttrs runs once at set-up (C^{-1} U), then once per step; dgtsv once per Newton iteration
@@ -415,10 +431,15 @@ class TestStepper:
             good_calls = int(clean.newton_iters[1:3].sum())
         _fail_lapack(monkeypatch, routine, after=good_calls)
         with pytest.raises(SolverError, match=f"{routine} returned info = 1") as exc:
-            r.run_simulation(c)
+            r.run_simulation(c, full_state=full_state)
         # steps 0 and 1 completed, step 2 failed
-        assert exc.value.partial.nt == 3
-        assert np.array_equal(exc.value.partial.states, clean.states[:3])
+        partial = exc.value.partial
+        assert partial.nt == 3
+        assert np.array_equal(partial.states, clean.states[:3] if full_state else clean.states[2:3])
+        for name in ("times", "l2_norms", "h1_norms", "newton_iters"):
+            assert np.array_equal(getattr(partial, name), getattr(clean, name)[:3]), name
+        # a product over 3 levels may round apart from one over the whole block
+        assert np.allclose(partial.controls, clean.controls[:3], rtol=1e-14, atol=0.0)
 
     def test_lapack_info_exits_4(self, monkeypatch, capsys):
         _fail_lapack(monkeypatch, "dgttrs", after=0)
@@ -538,15 +559,18 @@ class TestRunSimulation:
         drift = np.max(np.abs(traj.states[-1] - np.sin(np.pi * r.make_grid(1.0, 200).nodes)))
         assert drift < 1e-3
 
-    def test_newton_failure_carries_partial_trajectory(self):
+    @pytest.mark.parametrize("full_state", [True, False], ids=["history", "no_history"])
+    def test_newton_failure_carries_partial_trajectory(self, full_state):
         c = cfg(model="nonlinear", u0=lambda x: 3.0 * np.sin(np.pi * x),
                 nt=40, tmax=0.5, newton_max_iter=1)
         with pytest.raises(NewtonDivergenceError) as exc:
-            r.run_simulation(c)
+            r.run_simulation(c, full_state=full_state)
         err = exc.value
         assert err.step == 0
         assert err.partial.nt == 1
         assert err.partial.states.shape == (1, 60)
+        assert np.array_equal(err.partial.states[0], r.initial_state(c, r.make_grid(1.0, 60)))
+        assert err.partial.l2_norms.shape == err.partial.controls.shape == (1,)
 
     @pytest.mark.parametrize("model, amp, alpha", [
         ("linear", 1e300, 30.0),  # the unstable mode grows ~3x per step and overflows
@@ -607,6 +631,51 @@ def test_runs_are_deterministic(model, dynamics, alpha, mu, n_modes, nx, nt, amp
     assert np.array_equal(t1.states, t2.states)
     assert np.array_equal(t1.newton_iters, t2.newton_iters)
     assert np.array_equal(t1.controls, t2.controls)
+
+
+def test_block_levels():
+    # about BLOCK_ENTRIES / nx levels, a multiple of 8 from 8 levels on
+    assert [rdstab.simulator._block_levels(nx) for nx in (60, 2000, 4100, 9000, 10**6)] == [
+        1088, 32, 8, 7, 1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    model=st.sampled_from(["linear", "nonlinear"]),
+    dynamics=st.sampled_from(DYNAMICS_MODES),
+    forcing=st.booleans(),
+    nx=st.sampled_from([2000, 4100, 9000]),  # blocks of 32, 8 and 7 levels
+    nt_at=st.sampled_from(["below", "equal", "past", "multiple"]),
+    mu=st.floats(1.0, 25.0),
+    amp=st.floats(-2.0, 2.0),
+)
+def test_march_without_history_matches_history(model, dynamics, forcing, nx, nt_at, mu, amp):
+    block = rdstab.simulator._block_levels(nx)
+    nt = {"below": block - 1, "equal": block, "past": block + 1, "multiple": 3 * block}[nt_at]
+    f = (lambda x, t: (1.0 + t) * np.sin(np.pi * x)) if forcing and model == "linear" else None
+    c = cfg(model=model, dynamics=dynamics, alpha=12.0, mu=mu, n_modes=2, nx=nx, nt=nt,
+            tmax=0.2, u0={"sine_coeffs": [amp, 0.5]}, forcing=f)
+    kept, ring = r.run_simulation(c), r.run_simulation(c, full_state=False)
+    assert kept.states.shape == (nt, nx)
+    assert ring.states.shape == (1, nx)
+    assert np.array_equal(ring.states[0], kept.states[-1])
+    for name in ("times", "controls", "l2_norms", "h1_norms", "newton_iters"):
+        assert np.array_equal(getattr(ring, name), getattr(kept, name)), name
+
+
+def test_march_without_history_holds_one_block():
+    c = r.SimulationConfig(nx=2000, nt=2000, **EXPERIMENT_PRESETS["exp1"])
+    peaks = {}
+    for full_state in (False, True):
+        tracemalloc.start()
+        try:
+            r.run_simulation(c, full_state=full_state)
+            peaks[full_state] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the history alone is 8 * 2000 * 2000 bytes = 32 MB; one block is 0.5 MB
+    assert peaks[False] < 4e6
+    assert peaks[True] > 30e6
 
 
 @settings(max_examples=40, deadline=None)
