@@ -8,9 +8,9 @@ smallness threshold, and the Bernoulli decay envelope.
 (mu, N) candidates they propose.  One search builds each candidate's
 transform in turn and reports the first admissible one, with the smallness
 bound at margin SMALLNESS_MARGIN and constant GN_CONSTANT_DEFAULT if asked.
-The kernel series is truncated at DEFAULT_KERNEL_TOL and a pair is
-admissible when every |1 + a_j| exceeds ADMISSIBILITY_FLOOR; these
-tolerances are fixed.
+A pair is admissible when every |1 + a_j| exceeds ADMISSIBILITY_FLOOR;
+the floor is fixed.  No design forms the kernel series: the transform
+reads the kernel for mu, nu and the grid alone.
 
 The feedback value applied at the right boundary is
 

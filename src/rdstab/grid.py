@@ -6,11 +6,11 @@ dx = L / (N_x - 1), matching the discretization every other module builds on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import BLOCK_ENTRIES
 from .errors import DimensionError, InvalidParameterError
 
 __all__ = [
@@ -107,12 +107,12 @@ def l2_norm(values: np.ndarray, grid: Grid):
     """Discrete L2 norm induced by :func:`inner_product`.
 
     A float for one vector; an array of row norms for a (k, nx) stack.  A row
-    whose squares overflow is rescaled (see :func:`_rescale_overflow`).
+    whose squares overflow or underflow is rescaled (see :func:`_rescale`).
     """
     values = grid.check_stack(values)
     with np.errstate(over="ignore"):  # rescaled below
         out = np.sqrt(np.einsum("...i,...i,i->...", values, values, trapezoid_weights(grid)))
-    out = _rescale_overflow(np.atleast_1d(out), values, lambda v: l2_norm(v, grid))
+    out = _rescale(np.atleast_1d(out), values, lambda v: l2_norm(v, grid))
     return float(out[0]) if values.ndim == 1 else out
 
 
@@ -122,36 +122,32 @@ def h1_norm(values: np.ndarray, grid: Grid):
     The derivative part is dx * sum_i ((v_{i+1} - v_i)/dx)^2, the cheapest
     consistent realization of the continuum seminorm.  A float for one
     vector; an array of row norms for a (k, nx) stack.  A row whose squares
-    overflow is rescaled (see :func:`_rescale_overflow`).
+    overflow or underflow is rescaled (see :func:`_rescale`).
     """
     values = grid.check_stack(values)
-    stack = np.atleast_2d(values)
-    semi = np.empty(stack.shape[0])
-    # row blocks into one buffer, so a stack of levels needs no second stack
-    # for its differences and no fresh temporary per block
-    rows = max(1, BLOCK_ENTRIES // grid.nx)
-    buf = np.empty((min(rows, stack.shape[0]), grid.nx - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below; inf - inf is nan
-        for i in range(0, stack.shape[0], rows):
-            block = stack[i:i + rows]
-            diff = buf[: block.shape[0]]
-            np.subtract(block[:, 1:], block[:, :-1], out=diff)
-            semi[i:i + rows] = np.einsum("ij,ij->i", diff, diff)
+        diff = np.diff(np.atleast_2d(values), axis=-1)
+        semi = np.einsum("ij,ij->i", diff, diff)
         out = np.sqrt(np.square(l2_norm(values, grid)) + semi / grid.dx)
-    out = _rescale_overflow(out, values, lambda v: h1_norm(v, grid))
+    out = _rescale(out, values, lambda v: h1_norm(v, grid))
     return float(out[0]) if values.ndim == 1 else out
 
 
-def _rescale_overflow(out: np.ndarray, values: np.ndarray, norm) -> np.ndarray:
-    """Recompute the entries of ``out`` that are inf although their rows are finite.
+# a norm below this may have lost bits to underflow in its squares
+_TINY_NORM = math.sqrt(np.finfo(float).tiny)
 
-    Such a row v overflowed in its squares; as in dnrm2 its norm is taken as
+
+def _rescale(out: np.ndarray, values: np.ndarray, norm) -> np.ndarray:
+    """Recompute the entries of ``out`` whose squares overflowed or underflowed.
+
+    Those are the entries that are inf or below sqrt(tiny) while their rows
+    are finite and nonzero; as in dnrm2, such a row v has its norm taken as
     s * norm(v / s) with s = max|v|.  Every other entry keeps its bits.
     """
     stack = np.atleast_2d(values)
-    for i in np.flatnonzero(np.isinf(out)):
-        if np.isfinite(stack[i]).all():
-            s = float(np.abs(stack[i]).max())
+    for i in np.flatnonzero(np.isinf(out) | (out < _TINY_NORM)):
+        s = float(np.abs(stack[i]).max())  # NaN for a row holding NaN
+        if 0.0 < s < math.inf:
             out[i] = s * norm(stack[i] / s)
     return out
 

@@ -11,26 +11,24 @@ and has the explicit power series
               * sum_{m >= 0} (-mu / (4 nu))^m (x^2 - y^2)^m / (m! (m+1)!).
 
 ``kernel_series`` sums the series at one point, term by term.
-``kernel_table`` keeps the same partial sum as its coefficients in
+``kernel_table`` only checks mu and nu and returns a ``Kernel``, a handle of
+(mu, nu, grid).  The set-up needs the kernel only through Upsilon W, which
+``transform`` forms in closed form from mu and nu, so no design, scan or
+simulation forms the series.  It is formed on first read, as coefficients in
 zeta = (x^2 - y^2) / L^2, which lies in [0, 1] on the triangle:
 c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The c_m are built recursively,
 since explicit factorials overflow doubles near m = 85; because zeta <= 1,
 a coefficient can only underflow once its term is already negligible.  The
-same recurrence picks the truncation order M: it stops at the first M whose
-next term on the x = L row is below DEFAULT_KERNEL_TOL, and reports that
-term as the achieved gap.
-
-The set-up needs the kernel only through Upsilon W, which ``transform``
-forms in closed form from mu and nu, and the feedback gain is the last row
-of Phi_N; so ``kernel_table`` costs O(nx M) and forms no nx x nx array.
-The coefficients serve the table, which Horner's scheme in zeta forms only
-when ``Kernel.values`` is read (the kernel dump, the PDE residual check and
-dense reference code).
+same recurrence picks the truncation order M, in O(nx M): it stops at the
+first M whose next term on the x = L row is below DEFAULT_KERNEL_TOL, and
+reports that term as the achieved gap.  The nx x nx table is formed from
+the coefficients by Horner's scheme in zeta only when ``Kernel.values`` is
+read (the kernel dump, the PDE residual check and dense reference code).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,16 +86,18 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
 
 @dataclass(frozen=True)
 class Kernel:
-    """The truncated kernel series on the grid's lower triangle.
+    """The kernel of one (mu, nu) on the grid's lower triangle: a handle of mu, nu and grid.
 
-    The kernel is kept as its series coefficients; the set-up reads only its
-    mu, nu and grid.
+    The truncated series (``coeffs``, ``order``, ``achieved_delta``) is formed
+    together on the first read of any of them, and the nx x nx table on the
+    first read of ``values``; a series that does not reach DEFAULT_KERNEL_TOL
+    within KERNEL_MAX_ORDER terms raises ConvergenceError there.
 
     Attributes
     ----------
     coeffs : ndarray
         c_0..c_M, so that k^M(x_i, y_j) = -(mu y_j / (2 nu)) sum_m c_m zeta_ij^m
-        with zeta_ij = (x_i^2 - y_j^2) / L^2.
+        with zeta_ij = (x_i^2 - y_j^2) / L^2; read-only.
     order : int
         Truncation order M.
     achieved_delta : float
@@ -105,12 +105,44 @@ class Kernel:
         DEFAULT_KERNEL_TOL.
     """
 
-    coeffs: np.ndarray = field(repr=False)
-    order: int
     mu: float
     nu: float
     grid: Grid
-    achieved_delta: float
+
+    @cached_property
+    def _series(self) -> tuple[np.ndarray, int, float]:
+        """(coeffs, order, achieved_delta) to the smallest order that meets DEFAULT_KERNEL_TOL.
+
+        One recurrence forms c_0, c_1, ... and the next series term on the
+        x = L row, where the gap max |k^{M+1} - k^M| over the triangle is
+        attained (the term grows with x at fixed y).
+        """
+        L2 = self.grid.length**2
+        q = -self.mu * L2 / (4.0 * self.nu)
+        y = self.grid.nodes
+        prefactor = -(self.mu * y) / (2.0 * self.nu)
+        zeta_top = (L2 - y * y) / L2
+        coeffs = [1.0]
+        # overflow for absurd mu/nu just keeps the loop running into the cap error
+        with np.errstate(over="ignore", invalid="ignore"):
+            for order in range(KERNEL_MAX_ORDER + 1):
+                c_next = coeffs[-1] * q / ((order + 1) * (order + 2))
+                gap = float(np.max(np.abs(prefactor * c_next * zeta_top ** (order + 1))))
+                if gap < DEFAULT_KERNEL_TOL:
+                    break
+                coeffs.append(c_next)
+            else:
+                raise ConvergenceError(
+                    f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
+                    f"within {KERNEL_MAX_ORDER} terms"
+                )
+        kept = np.array(coeffs)
+        kept.flags.writeable = False
+        return kept, order, gap
+
+    coeffs = property(lambda self: self._series[0])
+    order = property(lambda self: self._series[1])
+    achieved_delta = property(lambda self: self._series[2])
 
     def _horner(self, zeta: np.ndarray) -> np.ndarray:
         """sum_m c_m zeta^m by Horner's scheme, elementwise."""
@@ -152,46 +184,9 @@ def check_table_fits(nx: int) -> None:
 
 
 def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
-    """The kernel to the smallest order M that meets DEFAULT_KERNEL_TOL, in O(nx M).
-
-    One recurrence forms c_0, c_1, ... and the next series term on the
-    x = L row, where the gap max |k^{M+1} - k^M| over the triangle is
-    attained (the term grows with x at fixed y).  It stops at the first M
-    whose gap is below DEFAULT_KERNEL_TOL, and that gap is stored as
-    ``achieved_delta``.  The nx x nx table is left to :attr:`Kernel.values`.
-
-    Raises ConvergenceError when no M <= KERNEL_MAX_ORDER meets the tolerance.
-    """
+    """The kernel of (mu, nu) on ``grid``: checks the scalars and builds the handle, no series."""
     check_scalars(nu=nu, mu=mu, positive=("nu",))
-    L2 = grid.length**2
-    q = -mu * L2 / (4.0 * nu)
-    y = grid.nodes
-    prefactor = -(mu * y) / (2.0 * nu)
-    zeta_top = (L2 - y * y) / L2
-    coeffs = [1.0]
-    # overflow for absurd mu/nu just keeps the loop running into the cap error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in range(KERNEL_MAX_ORDER + 1):
-            c_next = coeffs[-1] * q / ((order + 1) * (order + 2))
-            gap = float(np.max(np.abs(prefactor * c_next * zeta_top ** (order + 1))))
-            if gap < DEFAULT_KERNEL_TOL:
-                break
-            coeffs.append(c_next)
-        else:
-            raise ConvergenceError(
-                f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
-                f"within {KERNEL_MAX_ORDER} terms"
-            )
-    kept = np.array(coeffs)
-    kept.flags.writeable = False
-    return Kernel(
-        coeffs=kept,
-        order=order,
-        mu=float(mu),
-        nu=float(nu),
-        grid=grid,
-        achieved_delta=gap,
-    )
+    return Kernel(mu=float(mu), nu=float(nu), grid=grid)
 
 
 def kernel_pde_residual(kernel: Kernel) -> float:

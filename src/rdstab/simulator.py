@@ -15,10 +15,13 @@ rows.  The first row imposes u_0 = 0; in the closed loop the last row imposes
 the boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and otherwise u_L = 0.
 The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
 balance and resolves each step by Newton's method on the same operator.
-A step stops when max|du| <= newton_tol, or one solve earlier when a certified
-bound shows that the next correction would be at most newton_tol: the cubic
-remainder of an update is known exactly, and ||C^{-1}||_inf is bounded once
-per run from the M-matrix tridiagonal core and the Woodbury factors.
+After the first update, the residual is updated from the correction du (its
+product with the Newton matrix and the exact cubic remainder), so its
+rounding falls with du; formed again from C u it would round at
+eps ||C|| |u|.  A step stops when max|du| <= newton_tol, or one solve earlier
+when a certified bound shows that the next correction would be at most
+newton_tol: the residual is at hand, and ||C^{-1}||_inf is bounded once per
+run from the M-matrix tridiagonal core and the Woodbury factors.
 
 The operator is a tridiagonal core plus a low-rank term of rank k <= N: the
 rank-one gain row in the closed loop, mu*P_N in the target.  Every solve goes
@@ -30,7 +33,9 @@ diagonal, so it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
 The march holds O(nx) memory: levels go into a ring of one block of about
 BLOCK_ENTRIES / nx levels, and the block's norms and controls are formed
 when it fills.  A run that keeps its (nt, nx) state history uses that
-history as the ring, so both give the same norms and controls bit for bit.
+history as the ring.  Norms and controls are per-row einsum reductions,
+whose order NumPy fixes, so neither the block size nor the BLAS library or
+its thread count moves their bits: both runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -354,13 +359,8 @@ def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
 
 
 def _block_levels(nx: int) -> int:
-    """Levels per block of the march: about BLOCK_ENTRIES / nx, at least one.
-
-    OpenBLAS's gemv takes rows in groups of 8, so a block of a multiple of 8
-    levels gives ``block @ gain`` the bits of the product over the whole history.
-    """
-    block = max(1, BLOCK_ENTRIES // nx)
-    return block - block % 8 if block >= 8 else block
+    """Levels per block of the march: about BLOCK_ENTRIES / nx, at least one."""
+    return max(1, BLOCK_ENTRIES // nx)
 
 
 def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
@@ -395,7 +395,7 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
         l2[done:end] = l2_norm(rows, grid)
         h1[done:end] = h1_norm(rows, grid)
         if gain is not None:
-            controls[done:end] = rows @ gain
+            controls[done:end] = np.einsum("ij,j->i", rows, gain)
         done = end
 
     def package(end: int) -> Trajectory:
@@ -436,50 +436,54 @@ def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: 
     """Newton iteration for C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows.
 
     The constraint rows u'_0 = 0 and u'_L = g(u') are linear and part of C, so
-    they hold after the first update.  An update is accepted when its own
-    max|du| <= newton_tol, or when ``_next_correction_bound`` certifies that the
-    following correction would be at most newton_tol; that saves the confirming
-    solve, and the accepted iterate then lies within newton_tol of the one the
-    |du| test alone would accept.  A non-finite update raises before either
-    test.  Cubes are products, not powers: libm's pow takes a slow path on the
-    tiny values of a decayed state.
+    they hold after the first update.  Only the first residual is formed from
+    C u: an update du from v, solved from (C + J) du = F with J = 1.5 dt v^2,
+    leaves F - (C + J) du - (dt/2) du^2 (3v + du) (the last two terms on the
+    interior rows), whose rounding, eps ||C||_inf max|du|, falls with du.  One
+    formed from C u' would round at eps ||C||_inf max|u'|, which can keep
+    max|du| above newton_tol when nu dt / dx^2 is large.  An update is
+    accepted when its own max|du| <= newton_tol, or when
+    ``_next_correction_bound`` certifies that the following correction would
+    be at most newton_tol; that saves the confirming solve, and the accepted
+    iterate then lies within newton_tol of the one the |du| test alone would
+    accept.  A non-finite update raises before either test.  Cubes are
+    products, not powers: libm's pow takes a slow path on the tiny values of
+    a decayed state.
     """
     dt = config.dt
     tol = config.newton_tol
-    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * (u * u * u))
+    Cu = stepper.matvec(u)
+    cube = 0.5 * dt * (u * u * u)
+    F = _interior(2.0 * u - Cu - cube) - Cu - _interior(cube)  # the residual at u' = u
     up, up2 = u, u * u
     history = []
     for p in range(config.newton_max_iter):
-        F = B - stepper.matvec(up) - _interior(0.5 * dt * (up2 * up))
-        du = stepper.solve(F, 1.5 * dt * up2)
+        shift = 1.5 * dt * up2
+        du = stepper.solve(F, shift)
         prev, up = up, up + du
         up2 = up * up
         delta = float(np.abs(du).max())
         if not math.isfinite(delta):
             raise NonFiniteStateError(n)
         history.append(delta)
-        if delta <= tol or _next_correction_bound(stepper.inv_bound, prev, du, up2, dt) <= tol:
+        F -= stepper.matvec(du) + _interior(shift * du + 0.5 * dt * (du * du * (3.0 * prev + du)))
+        if delta <= tol or _next_correction_bound(stepper.inv_bound, F, up2, dt) <= tol:
             return up, p + 1
     raise NewtonDivergenceError(n, history)
 
 
-def _next_correction_bound(inv_bound: float, u: np.ndarray, du: np.ndarray, up2: np.ndarray,
-                           dt: float) -> float:
-    """Bound on max|du'| for the Newton correction du' that would follow up = u + du.
+def _next_correction_bound(inv_bound: float, F: np.ndarray, up2: np.ndarray, dt: float) -> float:
+    """Bound on max|du'| for the Newton correction du' that solves against the residual F at up.
 
-    ``up2`` is up^2.  du solves (C + 1.5 dt u^2) du = F(u), so the residual at
-    up is exactly r = -(dt/2) du^2 (3u + du) on the interior rows (up to
-    rounding in the solve) and zero on the constraint rows.  With
-    K_C = ``inv_bound`` >= ||C^{-1}||_inf,
+    ``up2`` is up^2.  With K_C = ``inv_bound`` >= ||C^{-1}||_inf,
     ||(C + 1.5 dt up^2)^{-1}||_inf <= K_J = K_C / (1 - K_C 1.5 dt max up^2) when
-    the denominator is positive, so max|du'| <= K_J ||r||_inf; otherwise inf.
+    the denominator is positive, so max|du'| <= K_J ||F||_inf (up to rounding
+    in the solve); otherwise inf.
     """
     if inv_bound == math.inf:
         return math.inf
-    w = du[1:-1]
-    resid = 0.5 * dt * float(np.abs(w * w * (3.0 * u[1:-1] + w)).max())
     gap = 1.0 - inv_bound * 1.5 * dt * float(up2.max())
-    return inv_bound * resid / gap if gap > 0.0 else math.inf
+    return inv_bound * float(np.abs(F).max()) / gap if gap > 0.0 else math.inf
 
 
 def run_target_consistency(config: SimulationConfig):

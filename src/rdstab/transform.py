@@ -16,10 +16,11 @@ not invertible and construction fails.
 P_N = dx W W^T has rank N, so the whole transform is kept as nx x N
 factors: T = I + UW (dx W^T) with UW = Upsilon W, and Phi_j = X_j (dx W_j^T)
 with the recursion run on X alone.  Upsilon enters only through UW, and
-Upsilon e_j has a closed form (``_upsilon_modes``), so the set-up reads
-neither the kernel table nor its coefficients and costs O(nx N^3), linear
-in nx.  The inverse identity is checked through a certified upper bound on
-its residual in O(nx N).  Building, applying and measuring the transform
+Upsilon e_j has a closed form in mu and nu (``_upsilon_modes``), so the
+set-up reads the kernel handle for mu, nu and the grid alone, forms neither
+the kernel series nor its table, and costs O(nx N^3), linear in nx.  The
+inverse identity is checked through a certified upper bound on its residual
+in O(nx N).  Building, applying and measuring the transform
 needs no nx x nx temporary and no O(nx^2) work, and ``TransformSet`` holds
 the factors alone.  One recursion (``_phi_recursion``) serves both
 ``build_transform``, which raises at the first inadmissible a_j, and

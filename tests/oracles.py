@@ -11,9 +11,10 @@ certified early stop.
 ``phi_apply_recursive`` applies Phi_N by a per-vector level scheme, independent
 of the factored recursion in ``rdstab.transform``; ``dense_transform`` expands
 a transform set's nx x N factors into the dense T and Phi_N.
-``truncate_order`` and ``kernel_table`` are the two-pass kernel set-up that
-``rdstab.kernel.kernel_table`` replaced: the order is found by one loop, then
-the coefficients and the achieved gap are formed again to that order.
+``truncate_order`` and ``kernel_series_two_pass`` form the kernel series in
+two passes, apart from the one recurrence of ``rdstab.kernel.Kernel``: the
+order is found by one loop, then the coefficients and the achieved gap are
+formed again to that order.
 ``upsilon_projected`` is the dense Upsilon P_N from the closed form of
 Upsilon e_j, coded apart from ``rdstab.transform``, for ``phi_apply_recursive``.
 ``gain_quadrature_gap`` measures the feedback gain against the trapezoid of
@@ -110,20 +111,22 @@ def dense_newton_step(C: np.ndarray, u: np.ndarray, config: SimulationConfig):
 def newton_step_tol(stepper, u: np.ndarray, config: SimulationConfig, n: int):
     """Newton loop of ``rdstab.simulator._newton_step`` with the max|du| <= newton_tol stop alone."""
     dt = config.dt
-    B = _interior(2.0 * u - stepper.matvec(u) - 0.5 * dt * (u * u * u))
+    Cu = stepper.matvec(u)
+    cube = 0.5 * dt * (u * u * u)
+    F = _interior(2.0 * u - Cu - cube) - Cu - _interior(cube)
     up = u
     history = []
     for p in range(config.newton_max_iter):
-        up2 = up * up
-        F = B - stepper.matvec(up) - _interior(0.5 * dt * (up2 * up))
-        du = stepper.solve(F, 1.5 * dt * up2)
-        up = up + du
+        shift = 1.5 * dt * (up * up)
+        du = stepper.solve(F, shift)
+        prev, up = up, up + du
         delta = float(np.abs(du).max())
         if not math.isfinite(delta):
             raise NonFiniteStateError(n)
         history.append(delta)
         if delta <= config.newton_tol:
             return up, p + 1
+        F -= stepper.matvec(du) + _interior(shift * du + 0.5 * dt * (du * du * (3.0 * prev + du)))
     raise NewtonDivergenceError(n, history)
 
 
@@ -227,12 +230,11 @@ def truncate_order(mu: float, nu: float, grid: Grid) -> int:
     )
 
 
-def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
-    """The kernel to the order ``truncate_order`` picks for DEFAULT_KERNEL_TOL, in O(nx M).
+def kernel_series_two_pass(grid: Grid, mu: float, nu: float):
+    """(coeffs, order, achieved_delta) of the kernel to the order ``truncate_order`` picks.
 
     Forms the coefficients c_0..c_M and the achieved gap, the next series
     term on the x = L row, where ``truncate_order`` locates its maximum.
-    The nx x nx table is left to :attr:`Kernel.values`.
     """
     order = truncate_order(mu, nu, grid)
     L2 = grid.length**2
@@ -244,16 +246,7 @@ def kernel_table(grid: Grid, mu: float, nu: float) -> Kernel:
     prefactor = -(mu * y) / (2.0 * nu)
     zeta_top = (L2 - y * y) / L2
     achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
-    kept = np.array(coeffs[: order + 1])
-    kept.flags.writeable = False
-    return Kernel(
-        coeffs=kept,
-        order=order,
-        mu=float(mu),
-        nu=float(nu),
-        grid=grid,
-        achieved_delta=achieved,
-    )
+    return np.array(coeffs[: order + 1]), order, achieved
 
 
 def upsilon_projected(kernel: Kernel, basis: ModalBasis) -> np.ndarray:

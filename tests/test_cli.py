@@ -281,21 +281,30 @@ class TestMainInProcess:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         capsys.readouterr()
 
+    @staticmethod
+    def _final_and_rate(tmp_path, capsys, amp, nt):
+        """Final L2 norm and fitted rate (None when skipped) that ``simulate`` prints."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"u0": {"sine_coeffs": [amp]}}))
+        assert main(["simulate", "--config", str(cfg), "--nx", "20", "--nt", nt]) == 0
+        out = capsys.readouterr().out
+        rate = re.search(r"fitted rate: (\S+)", out)
+        return float(re.search(r"final l2 norm: (\S+)", out).group(1)), rate and rate.group(1)
+
     def test_overflowing_norm_stays_finite(self, tmp_path, capsys):
         # the states are finite but their squares overflow; the norm is rescaled
-        def final_and_rate(amp, nt):
-            cfg = tmp_path / "run.json"
-            cfg.write_text(json.dumps({"u0": {"sine_coeffs": [amp]}}))
-            assert main(["simulate", "--config", str(cfg), "--nx", "20", "--nt", nt]) == 0
-            out = capsys.readouterr().out
-            rate = re.search(r"fitted rate: (\S+)", out)
-            return float(re.search(r"final l2 norm: (\S+)", out).group(1)), rate and rate.group(1)
-
-        final, _ = final_and_rate(1e300, "5")
+        final, _ = self._final_and_rate(tmp_path, capsys, 1e300, "5")
         assert math.isfinite(final) and final > 1e298
-        final, rate = final_and_rate(1e300, "50")
-        unit_final, unit_rate = final_and_rate(1.0, "50")
+        final, rate = self._final_and_rate(tmp_path, capsys, 1e300, "50")
+        unit_final, unit_rate = self._final_and_rate(tmp_path, capsys, 1.0, "50")
         assert final == pytest.approx(1e300 * unit_final, rel=1e-6)  # 7 printed digits
+        assert rate is not None and rate == unit_rate
+
+    def test_underflowing_norm_stays_nonzero(self, tmp_path, capsys):
+        # the states are nonzero but their squares underflow; the norm is rescaled
+        final, rate = self._final_and_rate(tmp_path, capsys, 1e-170, "50")
+        unit_final, unit_rate = self._final_and_rate(tmp_path, capsys, 1.0, "50")
+        assert final == pytest.approx(1e-170 * unit_final, rel=1e-6, abs=0.0)
         assert rate is not None and rate == unit_rate
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):

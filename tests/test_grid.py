@@ -133,16 +133,6 @@ def test_norms_of_a_stack_are_row_norms():
             norm(stack[None], g)
 
 
-def test_h1_norm_row_blocks_match_whole_stack(monkeypatch):
-    # 7-row blocks over 23 rows: two full blocks, then a ragged one
-    g = r.make_grid(1.0, 30)
-    stack = np.random.default_rng(4).standard_normal((23, g.nx))
-    monkeypatch.setattr(r.grid, "BLOCK_ENTRIES", 7 * g.nx)
-    diff = np.diff(stack, axis=-1)
-    whole = np.sqrt(r.l2_norm(stack, g) ** 2 + np.einsum("ij,ij->i", diff, diff) / g.dx)
-    assert np.array_equal(r.h1_norm(stack, g), whole)
-
-
 def _plain_norms(stack, g):
     """The unscaled formulas of l2_norm and h1_norm, for rows that do not overflow."""
     l2 = np.sqrt(np.einsum("...i,...i,i->...", stack, stack, r.trapezoid_weights(g)))
@@ -176,3 +166,18 @@ def test_overflowing_row_is_rescaled():
         assert norm(1e300 * sine, g) == out[1]
         assert out[0] == norm(sine, g)
         assert not np.isfinite(out[2])  # a non-finite row is left as it is
+
+
+def test_underflowing_row_is_rescaled():
+    # squares of 1e-160 underflow to subnormals and those of 1e-170 to zero
+    g = r.make_grid(1.0, 200)
+    sine = np.sin(np.pi * g.nodes)
+    for scale in (1e-160, 1e-170, 1e-300):
+        stack = np.stack([sine, scale * sine, np.zeros(g.nx), np.full(g.nx, np.nan)])
+        for norm in (r.l2_norm, r.h1_norm):
+            out = norm(stack, g)
+            assert out[1] == pytest.approx(scale * norm(sine, g), rel=1e-14, abs=0.0)
+            assert norm(scale * sine, g) == out[1]
+            assert out[0] == norm(sine, g)
+            assert out[2] == 0.0  # a zero row stays zero
+            assert np.isnan(out[3])  # a non-finite row is left as it is

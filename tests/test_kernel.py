@@ -59,10 +59,14 @@ def test_truncation_orders_frozen():
 
 
 def test_truncation_raises_past_cap():
+    # the handle is built; the series raises where it is read
     g = r.make_grid(1.0, 50)
-    for table in (r.kernel_table, oracles.kernel_table):
+    kern = r.kernel_table(g, 1e6, 1e-3)
+    for read in ("order", "coeffs", "achieved_delta", "values"):
         with pytest.raises(ConvergenceError):
-            table(g, 1e6, 1e-3)
+            getattr(kern, read)
+    with pytest.raises(ConvergenceError):
+        oracles.kernel_series_two_pass(g, 1e6, 1e-3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,11 +80,11 @@ def test_one_pass_table_matches_two_pass_oracle(mu, nu, length, nx):
     # the order decision and the reported gap come from one recurrence; the
     # oracle finds the order in one loop and forms the coefficients again
     g = r.make_grid(length, nx)
-    want = oracles.kernel_table(g, mu, nu)
+    coeffs, order, achieved = oracles.kernel_series_two_pass(g, mu, nu)
     got = r.kernel_table(g, mu, nu)
-    assert got.order == want.order
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert got.achieved_delta == pytest.approx(want.achieved_delta, rel=1e-15, abs=0.0)
+    assert got.order == order
+    assert np.array_equal(got.coeffs, coeffs)
+    assert got.achieved_delta == pytest.approx(achieved, rel=1e-15, abs=0.0)
     assert got.achieved_delta < DEFAULT_KERNEL_TOL
 
 
@@ -173,3 +177,34 @@ def test_non_finite_diffusivity_rejected(grid200):
     for nu in (math.nan, math.inf):
         with pytest.raises(InvalidParameterError, match="nu must be finite"):
             r.kernel_table(grid200, 6.0, nu)
+
+
+def test_series_formed_only_where_read(monkeypatch, capsys):
+    # the set-up reads only mu, nu and the grid; with the series' formation made
+    # to raise, every design, scan and simulation still runs
+    def formed(kern):
+        raise ConvergenceError("series formed")
+
+    monkeypatch.setattr(r.kernel.Kernel, "_series", property(formed))
+    g = r.make_grid(1.0, 60)
+    kern = r.kernel_table(g, 15.0, 1.0)
+    r.feedback_gain(kern, r.build_transform(kern, 2))
+    assert len(r.scan_admissibility(1.0, 1.0, 2, (1.0, 40.0), 5, nx=60)) == 5
+    r.design_fixed(1.0, 15.0, 15.0, 2, nx=60, smallness=True)
+    r.design_rapid(1.0, 12.0, 1.0, 2.0, nx=60, smallness=True)
+    r.design_minimal(1.0, 12.0, 1.0, nx=60, smallness=True)
+    r.run_simulation(r.SimulationConfig(nx=60, nt=20, model="nonlinear"), full_state=False)
+    # what reads the series still forms it
+    for read in ("order", "coeffs", "achieved_delta", "values"):
+        with pytest.raises(ConvergenceError, match="series formed"):
+            getattr(kern, read)
+    assert r.cli.main(["kernel-dump", "--mu", "6", "--nx", "60"]) == ConvergenceError.exit_code == 4
+    assert "series formed" in capsys.readouterr().err
+
+
+def test_series_formed_once():
+    kern = r.kernel_table(r.make_grid(1.0, 200), 6.0, 1.0)
+    assert vars(kern) == {"mu": 6.0, "nu": 1.0, "grid": kern.grid}
+    coeffs = kern.coeffs
+    assert "_series" in vars(kern)
+    assert kern.coeffs is coeffs and kern.order == 9

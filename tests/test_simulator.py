@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rdstab as r
 import rdstab.simulator
@@ -496,6 +496,18 @@ class TestRunSimulation:
         assert np.all(traj.newton_iters[1:] >= 1)
         assert traj.newton_iters[0] == 0
 
+    @pytest.mark.parametrize("model", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("nt", [33, 70])
+    def test_controls_do_not_depend_on_blocks(self, model, nt):
+        # blocks of 32 levels at nx = 2000; each control is the same per-row
+        # reduction block by block, with or without the history
+        c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model=model,
+                dynamics="closed_loop", nx=2000, nt=nt, u0="exp2")
+        traj = r.run_simulation(c)
+        gain = rdstab.simulator._feedback_row(c, r.make_grid(1.0, c.nx))
+        assert np.array_equal(traj.controls, np.einsum("ij,j->i", traj.states, gain))
+        assert np.array_equal(r.run_simulation(c, full_state=False).controls, traj.controls)
+
     def test_newton_exact_on_boundary_row(self):
         # the gain row is inside the Newton operator, so no boundary fixed point slows it
         c = cfg(nu=1.0, alpha=15.0, mu=15.0, n_modes=2, model="nonlinear",
@@ -511,7 +523,7 @@ class TestRunSimulation:
         traj = r.run_simulation(c)
         kern = r.kernel_table(r.make_grid(1.0, 100), 15.0, 1.0)
         gain = r.feedback_gain(kern, r.build_transform(kern, 2))
-        assert np.array_equal(traj.controls, traj.states @ gain)
+        assert np.array_equal(traj.controls, np.einsum("ij,j->i", traj.states, gain))
         assert traj.controls[0] != traj.states[0, -1]
 
     def test_uncontrolled_boundary_zero(self):
@@ -610,7 +622,7 @@ def test_feedback_is_linear(mu, n_modes, coeffs, a, b):
     scale = max(1.0, np.max(np.abs(a * t1.controls)), np.max(np.abs(b * t2.controls)))
     assert np.max(np.abs(t3.controls - (a * t1.controls + b * t2.controls))) <= 1e-11 * scale
     gain = rdstab.simulator._feedback_row(c, g)
-    assert np.array_equal(t3.controls, t3.states @ gain)
+    assert np.array_equal(t3.controls, np.einsum("ij,j->i", t3.states, gain))
 
 
 @settings(max_examples=15, deadline=None)
@@ -634,9 +646,9 @@ def test_runs_are_deterministic(model, dynamics, alpha, mu, n_modes, nx, nt, amp
 
 
 def test_block_levels():
-    # about BLOCK_ENTRIES / nx levels, a multiple of 8 from 8 levels on
+    # about BLOCK_ENTRIES / nx levels, at least one
     assert [rdstab.simulator._block_levels(nx) for nx in (60, 2000, 4100, 9000, 10**6)] == [
-        1088, 32, 8, 7, 1]
+        1092, 32, 15, 7, 1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -644,11 +656,14 @@ def test_block_levels():
     model=st.sampled_from(["linear", "nonlinear"]),
     dynamics=st.sampled_from(DYNAMICS_MODES),
     forcing=st.booleans(),
-    nx=st.sampled_from([2000, 4100, 9000]),  # blocks of 32, 8 and 7 levels
+    nx=st.sampled_from([2000, 4100, 9000]),  # blocks of 32, 15 and 7 levels
     nt_at=st.sampled_from(["below", "equal", "past", "multiple"]),
     mu=st.floats(1.0, 25.0),
     amp=st.floats(-2.0, 2.0),
 )
+# at nu dt / dx^2 ~ 5.6e5 a residual formed from C u' stalled Newton above newton_tol
+@example(model="nonlinear", dynamics="closed_loop", forcing=False, nx=4100, nt_at="below",
+         mu=7.0, amp=2.0)
 def test_march_without_history_matches_history(model, dynamics, forcing, nx, nt_at, mu, amp):
     block = rdstab.simulator._block_levels(nx)
     nt = {"below": block - 1, "equal": block, "past": block + 1, "multiple": 3 * block}[nt_at]
@@ -661,6 +676,24 @@ def test_march_without_history_matches_history(model, dynamics, forcing, nx, nt_
     assert np.array_equal(ring.states[0], kept.states[-1])
     for name in ("times", "controls", "l2_norms", "h1_norms", "newton_iters"):
         assert np.array_equal(getattr(ring, name), getattr(kept, name)), name
+
+
+@pytest.mark.parametrize("mu, amp", [(7.0, 2.0), (25.0, 2.0), (25.0, 1.0)])
+def test_newton_converges_at_large_cn_parameter(mu, amp):
+    # nu dt / dx^2 ~ 5.6e5: a residual formed from C u' rounds at eps ||C|| |u'|,
+    # and its corrections stalled above newton_tol at step 0
+    c = cfg(model="nonlinear", dynamics="closed_loop", alpha=12.0, mu=mu, n_modes=2,
+            nx=4100, nt=7, tmax=0.2, u0={"sine_coeffs": [amp, 0.5]})
+    traj = r.run_simulation(c)
+    assert np.isfinite(traj.states).all()
+    assert 1 <= traj.newton_iters[1:].min() and traj.newton_iters.max() <= 6
+    # one more correction from a residual formed from C u' stays at that rounding floor
+    g = r.make_grid(c.length, c.nx)
+    stepper = rdstab.simulator._Stepper(c, g, None, rdstab.simulator._feedback_row(c, g))
+    for u, up in zip(traj.states[:-1], traj.states[1:]):
+        F = rdstab.simulator._interior(
+            2.0 * u - stepper.matvec(u) - 0.5 * c.dt * (u**3 + up**3)) - stepper.matvec(up)
+        assert np.max(np.abs(stepper.solve(F, 1.5 * c.dt * up**2))) <= 3e-11
 
 
 def test_march_without_history_holds_one_block():
@@ -722,7 +755,8 @@ def test_next_correction_bound_holds(dynamics, nx, nt, alpha, coeffs):
 
     du = correction(u)
     up = u + du
-    bound = rdstab.simulator._next_correction_bound(stepper.inv_bound, u, du, up**2, dt)
+    F = rdstab.simulator._interior(-0.5 * dt * du**2 * (3.0 * u + du))  # the residual at up
+    bound = rdstab.simulator._next_correction_bound(stepper.inv_bound, F, up**2, dt)
     assume(math.isfinite(bound))
     # the bound leaves out rounding in the two solves and in F
     assert np.max(np.abs(correction(up))) <= bound + 1e-12 * max(1.0, np.max(np.abs(up)))
@@ -780,11 +814,14 @@ class TestCertifiedNewtonStop:
                 assert exc.value.step == 7
             u = states[1]
             for bad in (math.nan, math.inf):
-                du = np.zeros_like(u)
-                du[5] = bad
-                bound = rdstab.simulator._next_correction_bound(
-                    stepper.inv_bound, u, du, (u + du) ** 2, c.dt)
-                assert not bound <= c.newton_tol
+                F = np.zeros_like(u)
+                F[5] = bad
+                up = u.copy()
+                for residual, iterate in ((F, u), (np.zeros_like(u), up)):
+                    up[5] = bad
+                    bound = rdstab.simulator._next_correction_bound(
+                        stepper.inv_bound, residual, iterate**2, c.dt)
+                    assert not bound <= c.newton_tol
 
     def test_uncertified_core_keeps_the_plain_stop(self, monkeypatch):
         # dt * alpha = 500: T is no M-matrix and T^{-1} 1 has negative entries
