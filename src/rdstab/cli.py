@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .constants import FIT_WINDOW
+from .constants import BLOCK_ENTRIES, FIT_WINDOW
 from .controller import DesignReport, design_fixed, design_minimal, design_rapid
 from .errors import FitError, InvalidParameterError, RdstabError
 from .grid import make_grid
@@ -151,12 +151,20 @@ def run_experiment(
     return trajectory, report, fit
 
 
-def _write_csv(path: Path, header: Optional[str], rows) -> None:
+def _write_csv(path: Path, header: Optional[str], columns) -> None:
+    """Write the equal-length 1-D arrays ``columns`` side by side, each value as ``_FMT``.
+
+    Each line is one ``%`` over Python floats; lines are formed and written
+    about BLOCK_ENTRIES values at a time, so a wide table is never held as text.
+    """
+    line = ",".join([_FMT] * len(columns)) + "\n"
+    step = max(1, BLOCK_ENTRIES // len(columns))
     with path.open("w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        for start in range(0, len(columns[0]), step):
+            rows = zip(*(col[start:start + step].tolist() for col in columns))
+            fh.write("".join([line % row for row in rows]))
 
 
 def export(
@@ -185,21 +193,12 @@ def export(
         _write_csv(
             path,
             "t,g,l2_norm,h1_norm",
-            zip(
-                trajectory.times,
-                trajectory.controls,
-                trajectory.l2_norms,
-                trajectory.h1_norms,
-            ),
+            (trajectory.times, trajectory.controls, trajectory.l2_norms, trajectory.h1_norms),
         )
         written.append(path.name)
         if full_state:
             path = out / "state.csv"
-            _write_csv(
-                path,
-                None,
-                (np.concatenate(([t], s)) for t, s in zip(trajectory.times, trajectory.states)),
-            )
+            _write_csv(path, None, (trajectory.times, *trajectory.states.T))
             written.append(path.name)
     if report is not None:
         path = out / "design.json"
@@ -386,8 +385,7 @@ def _cmd_kernel_dump(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = (np.concatenate(([x], krow)) for x, krow in zip(grid.nodes, kern.values))
-        _write_csv(out / "kernel.csv", None, rows)
+        _write_csv(out / "kernel.csv", None, (grid.nodes, *kern.values.T))
     return 0
 
 

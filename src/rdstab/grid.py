@@ -39,13 +39,14 @@ class Grid:
     dx : float
         Spacing L / (nx - 1).
     nodes : ndarray
-        x_i = (i - 1) * dx; nodes[0] = 0 and nodes[-1] = L.
+        x_i = (i - 1) * dx; nodes[0] = 0 and nodes[-1] = L.  It follows from
+        the other fields, so grids compare and hash by (length, nx, dx).
     """
 
     length: float
     nx: int
     dx: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length <= 0:

@@ -13,6 +13,9 @@ supported:
 Each step solves (I + dt/2 A) u^{n+1} = (I - dt/2 A) u^n on the interior
 rows.  The first row imposes u_0 = 0; in the closed loop the last row imposes
 the boundary law implicitly, u_L^{n+1} = g(u^{n+1}), and otherwise u_L = 0.
+With C = I + dt/2 A and these constraint rows, a linear step is
+u^{n+1} = C^{-1} b - u^n, where b is 2 u^n (plus the forcing) on the interior
+rows and C u^n on the constraint rows, so no product with C is formed.
 The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
 balance and resolves each step by Newton's method on the same operator.
 After the first update, the residual is updated from the correction du (its
@@ -25,10 +28,16 @@ run from the M-matrix tridiagonal core and the Woodbury factors.
 
 The operator is a tridiagonal core plus a low-rank term of rank k <= N: the
 rank-one gain row in the closed loop, mu*P_N in the target.  Every solve goes
-through the Woodbury identity in O(nx*N).  A linear run factors the core once
-(LAPACK gttrf) and folds the low-rank correction into one nx x k matrix, so a
-step is one gttrs plus two thin products.  A Newton iteration shifts the
-diagonal, so it makes one gtsv call on [rhs, U] and a k x k capacitance solve.
+through the Woodbury identity in O(nx*N).  The core's two couplings of the
+interior to u_0 and u_L are folded into the right-hand side, which leaves a
+symmetric tridiagonal Z-matrix, positive definite whenever
+1 + dt/2 (nu lambda_1 - alpha) > 0.  A run factors it once by LDL^T (LAPACK
+pttrf) and folds the low-rank correction into one nx x k matrix, so a linear
+step is one pttrs plus two thin products.  A Newton iteration shifts the
+diagonal by 1.5 dt u^2 >= 0, so it makes one ptsv call on [rhs, U] and a
+k x k capacitance solve.  A core that pttrf reports not positive definite
+(dt too coarse for alpha) takes the pivoted LU instead: gttrf, gttrs, gtsv.
+Row 0 is decoupled and never pivoted, so u_0 = 0 holds exactly.
 
 The march holds O(nx) memory: levels go into a ring of one block of about
 BLOCK_ENTRIES / nx levels, and the block's norms and controls are formed
@@ -45,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dptsv, dpttrf, dpttrs
 
 from .constants import BLOCK_ENTRIES, DEFAULT_NEWTON_MAX_ITER, DEFAULT_NEWTON_TOL
 from .controller import feedback_gain
@@ -220,12 +229,16 @@ def _interior(v: np.ndarray) -> np.ndarray:
 def _lapack(routine, *args, **kwargs):
     """Call a scipy LAPACK wrapper; a nonzero ``info`` (its last output) raises SolverError."""
     *out, info = routine(*args, **kwargs)
+    _check_info(routine, info)
+    return out
+
+
+def _check_info(routine, info: int) -> None:
     if info != 0:
         raise SolverError(
             f"LAPACK {routine.__name__} returned info = {info}"
             + (" (exactly singular pivot)" if info > 0 else "")
         )
-    return out
 
 
 def _capacitance_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,22 +251,35 @@ def _capacitance_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Crank-Nicolson operator C = I + dt/2 A of one run.
 
-    C is a tridiagonal core with identity constraint rows plus the low-rank
+    C is a tridiagonal core T with identity constraint rows plus the low-rank
     term U V^T, none in the open loop.  In the closed loop U = e_L and
     V = -gain, so the last row reads u_L - g(u); in the target U holds W with
     its boundary rows zeroed and V holds dt/2 mu dx W.  ``solve`` applies the
-    Woodbury identity, k = rank(U) <= N.  The core is factored once (gttrf) and
-    ZS = C_core^{-1} U (I + V^T C_core^{-1} U)^{-1} is formed once, so a linear
-    step is one gttrs plus ZS (V^T y).  A Newton shift changes the core, so
-    each iteration is one gtsv on the Fortran-ordered block [rhs, U] and a
-    k x k capacitance solve.
+    Woodbury identity, k = rank(U) <= N.
+
+    T is kept in symmetric form: ``tri`` has the diagonal d with
+    d[0] = d[-1] = 1 and the off-diagonal e with e[0] = e[-1] = 0, and the two
+    couplings of the interior to the constraint values, c0 (row 1 <- u_0) and
+    cL (row nx-2 <- u_L), are folded into the right-hand side,
+    r[1] -= c0 r[0] and r[-2] -= cL r[-1].  So T^{-1} = S^{-1} F for the
+    symmetric tridiagonal S and the fold F.  S is a Z-matrix, positive
+    definite whenever 1 + dt/2 (nu lambda_1 - alpha) > 0, and is factored once
+    by LDL^T (pttrf).  ZS = T^{-1} U (I + V^T T^{-1} U)^{-1} is formed once, so
+    a linear solve is one pttrs plus ZS (V^T y), and ``step`` is one solve and
+    a subtraction.  A Newton shift
+    1.5 dt u^2 >= 0 keeps S positive definite and changes its diagonal, so
+    each iteration is one ptsv on the Fortran-ordered block [rhs, F U] and a
+    k x k capacitance solve.  When pttrf reports S not positive definite (dt
+    too coarse for alpha), the same folded S goes through the pivoted LU
+    instead: gttrf and gttrs, and gtsv for Newton.  Row 0 is decoupled and
+    never pivoted, so a solve returns x_0 = r_0 exactly.
 
     ``inv_bound`` is a certified K_C >= ||C^{-1}||_inf for nonlinear runs and
-    inf otherwise.  C^{-1} = T^{-1} - ZS V^T T^{-1} for the core T, so
-    K_C = ||T^{-1} 1||_inf + ||ZS||_inf max_i ||T^{-T} v_i||_1.  T is a Z-matrix
-    (off-diagonals <= 0), so T^{-1} 1 > 0 certifies that it is an M-matrix, with
-    T^{-1} >= 0 and ||T^{-1}||_inf = max(T^{-1} 1); without that certificate
-    K_C = inf.
+    inf otherwise.  C^{-1} = T^{-1} - ZS V^T T^{-1}, so
+    K_C = ||T^{-1} 1||_inf + ||ZS||_inf max_i ||T^{-T} v_i||_1 with
+    T^{-T} = F^T S^{-1}.  A symmetric Z-matrix that is positive definite is
+    an M-matrix, so S^{-1} >= 0; F >= 0 too, hence T^{-1} >= 0 and
+    ||T^{-1}||_inf = max(T^{-1} 1).  On the pivoted-LU path K_C = inf.
     """
 
     def __init__(self, config: SimulationConfig, grid: Grid, P: Optional[ProjectionMatrix],
@@ -261,11 +287,12 @@ class _Stepper:
         lap = laplacian_matrix(grid)
         h = 0.5 * config.dt
         diag = 1.0 + h * (-config.nu * lap.diag - config.alpha)
-        sub = h * (-config.nu * lap.sub)
-        sup = h * (-config.nu * lap.sup)
+        off = h * (-config.nu * lap.sup)  # off[0] = 0: row 0 is a constraint row
         diag[0] = diag[-1] = 1.0
-        sub[-1] = sup[0] = 0.0
-        self.tri = Tridiagonal(sub=sub, diag=diag, sup=sup)
+        self.c0, self.cL = float(h * (-config.nu * lap.sub[0])), float(off[-1])
+        off[-1] = 0.0
+        self.tri = Tridiagonal(sub=off, diag=diag, sup=off)
+        self.gain = gain
         self.U = self.V = self.ZS = None
         if gain is not None:
             self.U = np.zeros((grid.nx, 1))
@@ -275,39 +302,79 @@ class _Stepper:
             W = P.basis.W
             self.U = _interior(W.copy())
             self.V = h * config.mu * grid.dx * W
-        self.lu = _lapack(dgttrf, sub, diag, sup)
+        *ldl, info = dpttrf(diag, off)
+        self.ldl = self.lu = None
+        if info > 0:  # S is not positive definite: pivoted LU on the same matrix
+            self.lu = _lapack(dgttrf, off, diag, off)
+        else:
+            _check_info(dpttrf, info)
+            self.ldl = ldl
         columns = [np.zeros(grid.nx)]
         if self.U is not None:
             self.eye = np.eye(self.U.shape[1])
-            (Z,) = _lapack(dgttrs, *self.lu, self.U)
+            FU = self._fold(self.U.copy())
+            Z = self._core_solve(FU.copy(order="F"))
             self.ZS = _capacitance_solve((self.eye + self.V.T @ Z).T, Z.T).T
-            columns.append(self.U)
-        # gtsv's right-hand sides [rhs, U] in Fortran order; column 0 takes each rhs
+            columns.append(FU)
+        # the right-hand sides [rhs, F U] of ptsv or gtsv in Fortran order; column 0 takes each rhs
         self.block = np.asfortranarray(np.column_stack(columns))
         self.inv_bound = self._inverse_bound() if config.model == "nonlinear" else math.inf
 
+    def _fold(self, r: np.ndarray) -> np.ndarray:
+        """Apply the fold F to r in place (the rows of a 2-D r) and return it."""
+        r[1] -= self.c0 * r[0]
+        r[-2] -= self.cL * r[-1]
+        return r
+
+    def _core_solve(self, r: np.ndarray) -> np.ndarray:
+        """S^{-1} r, overwriting r."""
+        if self.lu is None:
+            (x,) = _lapack(dpttrs, *self.ldl, r, overwrite_b=1)
+        else:
+            (x,) = _lapack(dgttrs, *self.lu, r, overwrite_b=1)
+        return x
+
     def _inverse_bound(self) -> float:
-        tri = self.tri
-        (t1,) = _lapack(dgttrs, *self.lu, np.ones(tri.diag.shape[0]))
-        if not ((tri.sub <= 0.0).all() and (tri.sup <= 0.0).all() and (t1 > 0.0).all()):
+        if self.lu is not None:
             return math.inf
+        t1 = self._core_solve(self._fold(np.ones(self.tri.n)))
         bound = float(t1.max())
         if self.ZS is not None:
-            (TV,) = _lapack(dgttrs, *self.lu, self.V, trans="T")
+            TV = self._core_solve(self.V.copy(order="F"))
+            TV[0] -= self.c0 * TV[1]  # F^T
+            TV[-1] -= self.cL * TV[-2]
             bound += float(np.abs(self.ZS).sum(axis=1).max() * np.abs(TV).sum(axis=0).max())
         return bound
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.tri.matvec(v)
+        out[1] += self.c0 * v[0]
+        out[-2] += self.cL * v[-1]
         if self.U is not None:
             # np.dot, not @: matmul of an (nx, 1) U and a vector is ~3x slower at nx = 2000
             out += np.dot(self.U, np.dot(v, self.V))
         return out
 
+    def step(self, u: np.ndarray, forcing: Optional[np.ndarray] = None) -> np.ndarray:
+        """The linear step u' = C^{-1} interior(2u - C u + forcing), formed as C^{-1} b - u.
+
+        b is 2u + forcing on the interior rows and C u on the constraint rows
+        (u_0, and u_L - g(u) or u_L), so b - C u = interior(2u - C u + forcing)
+        and no product with C is formed.  u'_0 = u_0 - u_0 = 0 exactly.
+        """
+        b = 2.0 * u
+        if forcing is not None:
+            b += forcing
+        b[0] = u[0]
+        b[-1] = u[-1] if self.gain is None else u[-1] - np.dot(self.gain, u)
+        y = self.solve(b)
+        y -= u
+        return y
+
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
-        """Solve (C + diag(shift)) x = rhs; the constraint rows ignore shift."""
+        """Solve (C + diag(shift)) x = rhs, leaving rhs as it is; the constraint rows ignore shift."""
         if shift is None:
-            (y,) = _lapack(dgttrs, *self.lu, rhs)
+            y = self._core_solve(self._fold(rhs.copy()))
             if self.ZS is not None:
                 y -= np.dot(self.ZS, np.dot(y, self.V))
             return y
@@ -315,7 +382,12 @@ class _Stepper:
         d[1:-1] += shift[1:-1]
         X = self.block.copy(order="F")
         X[:, 0] = rhs
-        *_, X = _lapack(dgtsv, self.tri.sub, d, self.tri.sup, X, overwrite_d=1, overwrite_b=1)
+        self._fold(X[:, 0])
+        e = self.tri.sup
+        if self.lu is None:
+            *_, X = _lapack(dptsv, d, e, X, overwrite_d=1, overwrite_b=1)
+        else:
+            *_, X = _lapack(dgtsv, e, d, e, X, overwrite_d=1, overwrite_b=1)
         y = X[:, 0]
         if self.U is None:
             return y
@@ -413,11 +485,9 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
         for n in range(nt - 1):
             try:
                 if config.model == "linear":
-                    rhs = 2.0 * u - stepper.matvec(u)
-                    if config.forcing is not None:
-                        f = config.forcing
-                        rhs += 0.5 * dt * (f(x, times[n]) + f(x, times[n + 1]))
-                    u = stepper.solve(_interior(rhs))
+                    f = config.forcing
+                    u = stepper.step(u, None if f is None else
+                                     0.5 * dt * (f(x, times[n]) + f(x, times[n + 1])))
                 else:
                     u, iters[n + 1] = _newton_step(stepper, u, config, n)
                 if not np.isfinite(u).all():
@@ -425,7 +495,6 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
             except SolverError as err:
                 err.partial = package(n + 1)
                 raise
-            u[0] = 0.0  # the pivoted tridiagonal solve leaves rounding in this row
             if (n + 1) % block == 0:
                 flush(n + 1)
             ring[(n + 1) % ring.shape[0]] = u

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -190,6 +191,23 @@ class TestExport:
         for name in ("norms.csv", "design.json", "fit.json", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("n_cols, n_rows", [(4, 50), (3, 30000)], ids=["norms", "chunks"])
+    def test_csv_bytes_match_per_value_format(self, tmp_path, n_cols, n_rows):
+        # the second case spans several chunks of the writer
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507e-309,
+                   0.1, 1.0 / 3.0, -1.7976931348623157e308, 123456789.12345678, 2.0**-1074 * 3]
+        rng = np.random.default_rng(11)
+        columns = []
+        for _ in range(n_cols):
+            col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+            col[:len(special)] = rng.permutation(special)
+            columns.append(col)
+        want = "".join(",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns))
+        rdstab.cli._write_csv(tmp_path / "t.csv", "h", columns)
+        assert (tmp_path / "t.csv").read_bytes() == ("h\n" + want).encode()
+        fields = set(want.replace("\n", ",").split(","))
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324"} <= fields
+
     def test_full_state_needs_the_history(self, tmp_path):
         traj = r.run_simulation(r.SimulationConfig(nx=30, nt=20), full_state=False)
         assert traj.states.shape == (1, 30)
@@ -201,11 +219,17 @@ class TestExport:
         assert export(traj, None, None, str(out)) == ["norms.csv", "manifest.json"]
 
 
+def run_python(*argv):
+    """Run ``python *argv`` with the rdstab that these tests import first on its path."""
+    src = str(Path(r.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=300, env=env)
+
+
 def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "rdstab", *argv],
-        capture_output=True, text=True, timeout=300,
-    )
+    return run_python("-m", "rdstab", *argv)
 
 
 class TestMainInProcess:
@@ -574,11 +598,8 @@ class TestSubprocess:
         module, _, attr = target.partition(":")
         # __main__.py runs rdstab.cli.main too
         assert getattr(importlib.import_module(module), attr) is main
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys; from {module} import {attr}; sys.exit({attr}())", "--version"],
-            capture_output=True, text=True, timeout=300,
-        )
+        proc = run_python(
+            "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == r.__version__
 

@@ -20,6 +20,16 @@ def test_grid_nodes_read_only():
         g.nodes[0] = 3.0
 
 
+def test_grids_compare_and_hash_by_their_fields():
+    a, b = r.make_grid(1.0, 10), r.make_grid(1.0, 10)
+    assert a == b and hash(a) == hash(b)
+    assert a != r.make_grid(1.0, 11) and a != r.make_grid(2.0, 10)
+    # handles built on equal grids are equal too
+    ka, kb = r.kernel_table(a, 6.0, 1.0), r.kernel_table(b, 6.0, 1.0)
+    assert ka == kb and hash(ka) == hash(kb)
+    assert len({ka, kb, r.kernel_table(a, 7.0, 1.0)}) == 2
+
+
 def test_grid_validation():
     with pytest.raises(InvalidParameterError):
         r.make_grid(0.0, 10)

@@ -367,25 +367,38 @@ def _stepper_case(dynamics, nx=50, mu=15.0, n_modes=2, **kw):
     return c, g, P, gain
 
 
-class TestStepper:
-    # dynamics -> rank k of the low-rank term at N = 2
-    CASES = [("open_loop", 0), ("closed_loop", 1), ("target", 2)]
+# a core that pttrf refuses, so it takes the pivoted LU: 1 + dt/2 (nu pi^2 - alpha) < 0
+PIVOTED_CORE = dict(alpha=2000.0, nt=5, tmax=1.0)
+LU_CORE = dict(PIVOTED_CORE, mu=15.0, n_modes=2, nx=20, u0={"sine_coeffs": [0.1, 0.05]})
 
-    @pytest.mark.parametrize("dynamics, k", CASES)
-    def test_solve_matches_dense(self, dynamics, k):
-        c, g, P, gain = _stepper_case(dynamics)
+
+class TestStepper:
+    # dynamics -> rank k of the low-rank term at N = 2, on a positive definite core
+    # and on the pivoted one
+    CASES = [
+        pytest.param(dynamics, k, core, id=f"{dynamics}-{k}" + ("-pivoted" if core else ""))
+        for core in ({}, PIVOTED_CORE)
+        for dynamics, k in (("open_loop", 0), ("closed_loop", 1), ("target", 2))
+    ]
+
+    @pytest.mark.parametrize("dynamics, k, core", CASES)
+    def test_solve_matches_dense(self, dynamics, k, core):
+        c, g, P, gain = _stepper_case(dynamics, **core)
         stepper = rdstab.simulator._Stepper(c, g, P, gain)
         assert (0 if stepper.U is None else stepper.U.shape[1]) == k
+        assert (stepper.lu is None) == (not core)
         # the closed-loop operator assembled densely from the reference A
         C = closed_loop_matrix(c, g, P, gain)
         rng = np.random.default_rng(k)
         for _ in range(3):
             rhs = rng.standard_normal(g.nx)
+            kept = rhs.copy()
             shift = rng.uniform(0.0, 10.0, g.nx)
             C_shift = C + np.diag(np.r_[0.0, shift[1:-1], 0.0])
             for x, want in ((stepper.solve(rhs), np.linalg.solve(C, rhs)),
                             (stepper.solve(rhs, shift), np.linalg.solve(C_shift, rhs))):
                 assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(rhs, kept)
         v = rng.standard_normal(g.nx)
         assert np.max(np.abs(stepper.matvec(v) - C @ v)) <= 1e-12 * np.max(np.abs(C @ v))
 
@@ -408,23 +421,28 @@ class TestStepper:
             rdstab.simulator._Stepper(c, g, None, e_L)
 
     def test_factor_info_raises_solver_error(self, monkeypatch):
+        # pttrf refuses this core, so it goes to the pivoted LU
         _fail_lapack(monkeypatch, "dgttrf", after=0)
         with pytest.raises(SolverError, match="dgttrf returned info = 1") as exc:
-            r.run_simulation(cfg(alpha=12.0, mu=6.0, dynamics="closed_loop"))
+            r.run_simulation(cfg(dynamics="closed_loop", **LU_CORE))
         # the core is factored at set-up, before the march has a level to report
         assert not hasattr(exc.value, "partial")
 
     @pytest.mark.parametrize("routine, model, full_state", [
-        pytest.param("dgttrs", "linear", True, id="dgttrs-linear"),
-        pytest.param("dgtsv", "nonlinear", True, id="dgtsv-nonlinear"),
-        pytest.param("dgttrs", "linear", False, id="dgttrs-linear-no_history"),
-        pytest.param("dgtsv", "nonlinear", False, id="dgtsv-nonlinear-no_history"),
+        pytest.param(routine, model, full_state,
+                     id=f"{routine}-{model}" + ("" if full_state else "-no_history"))
+        for full_state in (True, False)
+        for routine, model in (("dpttrs", "linear"), ("dptsv", "nonlinear"),
+                               ("dgttrs", "linear"), ("dgtsv", "nonlinear"))
     ])
     def test_march_info_raises_solver_error_with_partial(self, monkeypatch, routine, model,
                                                          full_state):
-        c = cfg(model=model, alpha=12.0, mu=6.0, dynamics="closed_loop")
+        # dpt* run on the positive definite core, dgt* on the one that pttrf refuses
+        core = LU_CORE if routine.startswith("dgt") else dict(alpha=12.0, mu=6.0)
+        c = cfg(model=model, dynamics="closed_loop", **core)
         clean = r.run_simulation(c)
-        # dgttrs runs once at set-up (C^{-1} U), then once per step; dgtsv once per Newton iteration
+        # the *trs routine runs once at set-up (C^{-1} U), then once per step;
+        # the *sv routine once per Newton iteration
         if model == "linear":
             good_calls = 1 + 2
         else:
@@ -442,9 +460,35 @@ class TestStepper:
         assert np.allclose(partial.controls, clean.controls[:3], rtol=1e-14, atol=0.0)
 
     def test_lapack_info_exits_4(self, monkeypatch, capsys):
-        _fail_lapack(monkeypatch, "dgttrs", after=0)
-        assert r.cli.main(["simulate", "--nx", "40", "--nt", "10"]) == 4
-        assert "dgttrs returned info = 1" in capsys.readouterr().err
+        # the first solve of each path fails: simulate's defaults give a positive
+        # definite core, and PIVOTED_CORE's alpha and dt one that pttrf refuses
+        for routine, flags in (("dpttrs", []), ("dgttrs", ["--alpha", "2000", "--nt", "5"])):
+            _fail_lapack(monkeypatch, routine, after=0)
+            assert r.cli.main(["simulate", "--nx", "40", "--nt", "10", *flags]) == 4
+            assert f"{routine} returned info = 1" in capsys.readouterr().err
+
+    def test_refused_core_takes_the_pivoted_lu(self, monkeypatch):
+        # the LU path is chosen by pttrf's info alone, and it carries no inverse bound
+        c, g, P, gain = _stepper_case("closed_loop", model="nonlinear")
+        assert rdstab.simulator._Stepper(c, g, P, gain).lu is None
+        _fail_lapack(monkeypatch, "dpttrf", after=0)
+        stepper = rdstab.simulator._Stepper(c, g, P, gain)
+        assert stepper.ldl is None and stepper.inv_bound == math.inf
+        C = closed_loop_matrix(c, g, P, gain)
+        rhs = np.random.default_rng(5).standard_normal(g.nx)
+        assert np.linalg.norm(stepper.solve(rhs) - np.linalg.solve(C, rhs)) <= (
+            1e-12 * np.linalg.norm(np.linalg.solve(C, rhs)))
+
+    @pytest.mark.parametrize("preset", sorted(EXPERIMENT_PRESETS))
+    def test_positive_definite_core_never_pivots(self, monkeypatch, preset):
+        for routine in ("dgttrf", "dgttrs", "dgtsv"):
+            monkeypatch.setattr(rdstab.simulator, routine, _refuse)
+        c = r.SimulationConfig(nx=300, nt=300, **EXPERIMENT_PRESETS[preset])
+        assert np.isfinite(r.run_simulation(c, full_state=False).l2_norms).all()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a positive definite core called the pivoted LU")
 
 
 def _fail_lapack(monkeypatch, routine, after):
@@ -645,6 +689,22 @@ def test_runs_are_deterministic(model, dynamics, alpha, mu, n_modes, nx, nt, amp
     assert np.array_equal(t1.controls, t2.controls)
 
 
+@pytest.mark.parametrize("core", [{}, PIVOTED_CORE], ids=["ldl", "pivoted"])
+@pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
+@pytest.mark.parametrize("model", ["linear", "nonlinear"])
+def test_left_boundary_exactly_zero(model, dynamics, core):
+    # row 0 is decoupled from the core and never pivoted, so u_0 = 0 holds exactly
+    # at every level without a reset, also from a start with u_0 != 0
+    c = cfg(**{**dict(model=model, dynamics=dynamics, alpha=12.0, mu=15.0, n_modes=2,
+                      nx=400, nt=30), **core})
+    g = r.make_grid(c.length, c.nx)
+    u0 = 0.1 * np.sin(np.pi * g.nodes) + 0.05 * np.sin(5.0 * np.pi * g.nodes)
+    for first in (0.0, 0.1):
+        u0[0] = first
+        states = r.run_simulation(replace(c, u0=u0)).states
+        assert np.all(states[1:, 0] == 0.0)
+
+
 def test_block_levels():
     # about BLOCK_ENTRIES / nx levels, at least one
     assert [rdstab.simulator._block_levels(nx) for nx in (60, 2000, 4100, 9000, 10**6)] == [
@@ -775,7 +835,6 @@ def exp2_runs():
         states, solves = [r.initial_state(c, g)], 0
         for n in range(c.nt - 1):
             u, iters = newton_step_tol(stepper, states[-1], c, n)
-            u[0] = 0.0
             states.append(u)
             solves += iters
         runs[preset] = (c, stepper, np.array(states), solves)
