@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .constants import BLOCK_ENTRIES, FIT_WINDOW
 from .controller import DesignReport, design_fixed, design_minimal, design_rapid
-from .errors import FitError, InvalidParameterError, RdstabError
+from .errors import FitError, InvalidParameterError, RdstabError, check_run_fits
 from .grid import make_grid
 from .kernel import check_table_fits, kernel_table
 from .simulator import DYNAMICS_MODES, MODELS, SimulationConfig, Trajectory, run_simulation
@@ -140,6 +140,8 @@ def run_experiment(
             f"unknown preset {preset!r}; choose from {sorted(EXPERIMENT_PRESETS)}"
         )
     config = SimulationConfig(nx=nx, nt=nt, **EXPERIMENT_PRESETS[preset])
+    config.validate()
+    check_run_fits(config.nx, config.n_modes, config.nt, full_state)  # before the design allocates
     report = design_fixed(
         config.nu, config.alpha, config.mu, config.n_modes, config.length,
         nx=config.nx, smallness=(config.model == "nonlinear"),
@@ -377,8 +379,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
+    # before the grid, so nothing is allocated
+    check_run_fits(args.nx, 0)
     if args.out:
-        check_table_fits(args.nx)  # before the grid, so nothing is allocated
+        check_table_fits(args.nx)
     grid = make_grid(args.length, args.nx)
     kern = kernel_table(grid, args.mu, args.nu)
     print(f"series order: {kern.order}  achieved increment: {kern.achieved_delta:.3e}")

@@ -248,11 +248,8 @@ def feedback_gain(kernel: Kernel, tset: TransformSet) -> np.ndarray:
     T (I - Phi_N) = I makes that (Phi_N u)(L): r = dx X[-1] W^T, the last
     row of Phi_N = X (dx W^T).  The kernel is read for its grid alone.
     """
-    if kernel.grid.nx != tset.grid.nx:
-        raise DimensionError(
-            f"kernel grid ({kernel.grid.nx} nodes) does not match "
-            f"transform grid ({tset.grid.nx} nodes)"
-        )
+    if kernel.grid != tset.grid:
+        raise DimensionError(f"kernel grid {kernel.grid} does not match transform grid {tset.grid}")
     return tset.grid.dx * (tset.X[-1] @ tset.basis.W.T)
 
 
@@ -261,8 +258,9 @@ class DesignReport:
     """Outcome of a controller design run.
 
     ``mu_interval`` is the admissible open interval for the minimal-mode
-    scheme (None for rapid designs); ``admissibility`` holds the recursion
-    scalars of the verified transform; ``decaying`` flags gamma > 0.
+    scheme (None for rapid designs); ``admissibility`` holds the scalars a_j
+    of the verified transform, the pivots of I + M less one; ``decaying``
+    flags gamma > 0.
     """
 
     nu: float

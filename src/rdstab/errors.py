@@ -155,3 +155,16 @@ def check_fits(need: int, what: str) -> None:
             f"{what} needs about {need / 2**30:.3g} GiB, "
             f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def check_run_fits(nx: int, n_modes: int, nt: int = 0, history: bool = False) -> None:
+    """Refuse a set-up, scan or march larger than physical memory, before anything is allocated.
+
+    Counts 8-byte entries: the nt-long records of a march (times, controls,
+    two norms, Newton counts), the (nt, nx) history where ``history`` keeps
+    it, and a working set of 8 N + 32 vectors of nx (the nx x N factors and
+    the march's vectors; 8 N + 17 measured under tracemalloc).
+    """
+    need = 8 * (5 * nt + nx * (8 * n_modes + 32) + (nt * nx if history else 0))
+    check_fits(need, f"a problem of nx = {nx}, N = {n_modes}" + (f", nt = {nt}" if nt else "")
+               + (" with the state history" if history else ""))

@@ -63,7 +63,7 @@ from .errors import (
     NewtonDivergenceError,
     NonFiniteStateError,
     SolverError,
-    check_fits,
+    check_run_fits,
     check_scalars,
 )
 from .grid import Grid, Tridiagonal, h1_norm, l2_norm, laplacian_matrix, make_grid
@@ -399,29 +399,21 @@ class _Stepper:
 def run_simulation(config: SimulationConfig, full_state: bool = True) -> Trajectory:
     """March the configured model from t = 0 to t = tmax.
 
-    With ``full_state`` the trajectory keeps the (nt, nx) state history, and a
-    history larger than physical memory is refused before any set-up; without
-    it the march holds one block of levels and ``states`` is the final level
-    alone.  Norms, controls and Newton counts are the same bits either way.
+    With ``full_state`` the trajectory keeps the (nt, nx) state history;
+    without it the march holds one block of levels and ``states`` is the final
+    level alone.  Norms, controls and Newton counts are the same bits either
+    way.  A run larger than physical memory (``check_run_fits``) is refused
+    before any set-up.
     Deterministic: identical configs produce identical trajectories.  A
     solver failure (Newton budget exhausted, non-finite state) is raised with
     the truncated trajectory attached as ``err.partial``.
     """
     config.validate()
-    if full_state:
-        _check_history_fits(config)
+    check_run_fits(config.nx, config.n_modes, config.nt, full_state)
     grid = make_grid(config.length, config.nx)
     u0 = initial_state(config, grid)
     gain = _feedback_row(config, grid) if config.dynamics == "closed_loop" else None
     return _march(config, grid, u0, gain, full_state)
-
-
-def _check_history_fits(config: SimulationConfig) -> None:
-    """Refuse an (nt, nx) state history larger than physical memory (InvalidParameterError).
-
-    The set-up keeps only nx x N factors, so the history is what counts.
-    """
-    check_fits(8 * config.nt * config.nx, f"the state history of nx = {config.nx}, nt = {config.nt}")
 
 
 def _feedback_row(config: SimulationConfig, grid: Grid) -> np.ndarray:
@@ -562,7 +554,7 @@ def run_target_consistency(config: SimulationConfig):
     mismatch[n] = ||u^n - T w^n||_2 / ||u0||_2 with w0 = (I - Phi) u0.
     """
     config.validate()
-    _check_history_fits(config)
+    check_run_fits(config.nx, config.n_modes, config.nt, history=True)
     if config.model != "linear":
         raise InvalidParameterError("target consistency is defined for the linear model")
     grid = make_grid(config.length, config.nx)

@@ -8,8 +8,10 @@ law as its last row, and ``dense_newton_step`` resolves one step of the cubic
 model on it by Newton's method with dense solves.  ``newton_step_tol`` is the
 marcher's Newton loop with the plain max|du| <= newton_tol stop and no
 certified early stop.
-``phi_apply_recursive`` applies Phi_N by a per-vector level scheme, independent
-of the factored recursion in ``rdstab.transform``; ``dense_transform`` expands
+``phi_recursion`` is the paper's recursion run on the nx x N factor X of
+Phi_j = X (dx W_j^T), level by level in O(nx N^3), apart from the N x N
+elimination of ``rdstab.transform``.  ``phi_apply_recursive`` applies Phi_N by
+a per-vector level scheme, independent of both; ``dense_transform`` expands
 a transform set's nx x N factors into the dense T and Phi_N.
 ``truncate_order`` and ``kernel_series_two_pass`` form the kernel series in
 two passes, apart from the one recurrence of ``rdstab.kernel.Kernel``: the
@@ -130,6 +132,33 @@ def newton_step_tol(stepper, u: np.ndarray, config: SimulationConfig, n: int):
     raise NewtonDivergenceError(n, history)
 
 
+def phi_recursion(UW: np.ndarray, basis: ModalBasis):
+    """The inverse recursion, on the factor X of Phi_j = X (dx W_j^T).
+
+    ``UW`` is Upsilon W.  Returns (X, scalars, bad).  The recursion records
+    each a_j up to the first with |1 + a_j| <= ADMISSIBILITY_FLOOR and stops
+    there: ``bad`` is that 1-based j (0 when every a_j is admissible) and the
+    scalars after it are NaN.
+    """
+    g = basis.grid
+    W = basis.W
+    wq = trapezoid_weights(g)
+    X = np.zeros((g.nx, 0))
+    scalars = np.full(basis.n_modes, np.nan)
+    for j in range(1, basis.n_modes + 1):
+        # B = (I - Phi_{j-1}) Upsilon W_j
+        B = UW[:, :j] - X @ (g.dx * (W[:, : j - 1].T @ UW[:, :j]))
+        b = B[:, j - 1]
+        ej = W[:, j - 1]
+        a = float(np.dot(wq * b, ej))
+        scalars[j - 1] = a
+        if abs(1.0 + a) <= ADMISSIBILITY_FLOOR:
+            return X, scalars, j
+        # Phi_j = B P_j minus the rank-one correction b (e_j, B P_j .) / (1 + a_j)
+        X = B - np.outer(b, (wq * ej) @ B) / (1.0 + a)
+    return X, scalars, 0
+
+
 def phi_apply_recursive(
     upsilon: np.ndarray,
     basis: ModalBasis,
@@ -148,8 +177,7 @@ def phi_apply_recursive(
     advances every still-needed quantity from Phi_{p-1} to Phi_p and
     consumes the e_p chain to form a_p, failing when |1 + a_p| is within
     ADMISSIBILITY_FLOOR of 0.  Used as a consistency oracle for the factored
-    recursion of ``rdstab.transform.build_transform``; both implement the
-    same recursion.
+    transform of ``rdstab.transform.build_transform``.
     """
     g = basis.grid
     v = g.check_vector(v)

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,31 @@ class TestExitCodes:
         assert main(["kernel-dump", "--mu", "6", "--nx", "10000000", "--out", str(out)]) == 2
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["simulate", "--nx", "8", "--nt", "100000000000"], "nt = 100000000000"),
+            (["simulate", "--nx", "100000000000", "--nt", "10"], "nx = 100000000000"),
+            (["experiment", "exp1", "--nx", "100000000000", "--nt", "10"], "nx = 100000000000"),
+            (["scan-admissibility", "--mu-min", "1", "--mu-max", "2", "--nx", "100000000000"],
+             "nx = 100000000000"),
+            (["kernel-dump", "--nx", "100000000000"], "nx = 100000000000"),
+        ],
+        ids=["simulate-nt", "simulate-nx", "experiment", "scan-admissibility", "kernel-dump"],
+    )
+    def test_oversized_input_exit_2_before_allocating(self, argv, size, capsys):
+        # refused from the sizes alone: the command allocates no array of them
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert size in err and "physical memory" in err
+        assert peak < 2**20
 
     def test_non_finite_parameter(self, capsys):
         assert main(["simulate", "--nu", "nan", "--nx", "40", "--nt", "10"]) == 2

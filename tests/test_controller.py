@@ -272,6 +272,10 @@ class TestFeedback:
         other = r.kernel_table(r.make_grid(1.0, 100), 0.0, 1.0)
         with pytest.raises(DimensionError):
             r.feedback_gain(other, exp1_tset)
+        # the same node count on another length is another grid
+        tset = r.build_transform(r.kernel_table(r.make_grid(2.0, 50), 6.0, 1.0), 1)
+        with pytest.raises(DimensionError):
+            r.feedback_gain(r.kernel_table(r.make_grid(1.0, 50), 6.0, 1.0), tset)
 
 
 class TestDesignReports:

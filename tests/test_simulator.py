@@ -16,6 +16,7 @@ from rdstab.errors import (
     NewtonDivergenceError,
     NonFiniteStateError,
     SolverError,
+    check_run_fits,
 )
 from rdstab.simulator import DYNAMICS_MODES
 from oracles import assemble_A, closed_loop_matrix, dense_newton_step, newton_step_tol
@@ -101,7 +102,7 @@ class TestConfig:
         c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics=dynamics)
         c.validate()
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            rdstab.simulator._check_history_fits(c)
+            check_run_fits(c.nx, c.n_modes, c.nt, history=True)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             r.run_simulation(c)
 
@@ -111,13 +112,15 @@ class TestConfig:
         c = cfg(nx=10**6, nt=10, mu=6.0, dynamics="closed_loop")
         states = 8 * c.nt * c.nx
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states + 4 * c.nx**2)
-        rdstab.simulator._check_history_fits(c)
+        check_run_fits(c.nx, c.n_modes, c.nt, history=True)
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states - 1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            rdstab.simulator._check_history_fits(c)
+            check_run_fits(c.nx, c.n_modes, c.nt, history=True)
 
     def test_history_counts_only_where_kept(self, monkeypatch):
-        c = cfg(alpha=12.0, mu=6.0, dynamics="closed_loop")
+        # nt = 400 levels, so that the history outweighs the records and the
+        # working set of 8 N + 32 vectors of nx, which count either way
+        c = cfg(alpha=12.0, mu=6.0, dynamics="closed_loop", nt=400)
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: 8 * c.nt * c.nx - 1)
         assert r.run_simulation(c, full_state=False).nt == c.nt
         with pytest.raises(InvalidParameterError, match="physical memory"):
@@ -128,7 +131,7 @@ class TestConfig:
             raise ValueError(f"unrecognized configuration name {name!r}")
 
         monkeypatch.setattr(rdstab.errors.os, "sysconf", unsupported)
-        rdstab.simulator._check_history_fits(cfg(nx=10**7, nt=10**7))
+        check_run_fits(10**7, 1, 10**7, history=True)
 
 
 class TestInitialState:

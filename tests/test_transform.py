@@ -4,14 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import i1, j1
 
 import rdstab as r
 from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
 from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
-from oracles import dense_transform, gain_quadrature_gap, phi_apply_recursive, upsilon_projected
+from oracles import (
+    dense_transform,
+    gain_quadrature_gap,
+    phi_apply_recursive,
+    phi_recursion,
+    upsilon_projected,
+)
 
 # continuum values of the admissibility scalars, computed independently from
 # the Bessel closed form of the kernel with adaptive double quadrature
@@ -275,19 +281,33 @@ def _h1_opnorm(A, S):
     return float(np.sqrt(max(vals[-1], 0.0)))
 
 
+def _recursion(kern, basis):
+    """(X, scalars, bad) of the paper's recursion, the oracle of the elimination."""
+    return phi_recursion(r.transform._upsilon_modes(kern, basis), basis)
+
+
+def _assert_matches_recursion(tset, X, scalars):
+    # the pivots of I + M less one are the recursion's a_j, and UW (I + M)^-1
+    # is its factor X
+    assert np.max(np.abs(tset.admissibility - scalars)) <= 1e-12
+    assert np.max(np.abs(tset.X - X)) <= 1e-12 * np.max(np.abs(X))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
-    mu=st.floats(1.0, 25.0),
-    n_modes=st.integers(1, 3),
+    mu=st.floats(-20.0, 60.0),
+    n_modes=st.integers(1, 6),
     nx=st.integers(40, 200),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
-    # every (mu, N) here is admissible with |1 + a_j| >= 0.04
     g = r.make_grid(1.0, nx)
     kern = r.kernel_table(g, mu, 1.0)
+    basis = r.modal_basis(g, n_modes)
+    X, scalars, _ = _recursion(kern, basis)
+    assume(np.all(np.abs(1.0 + scalars) >= 0.04))
     tset = r.build_transform(kern, n_modes)
-    basis = tset.basis
+    _assert_matches_recursion(tset, X, scalars)
     U = upsilon_projected(kern, basis)
     eye = np.eye(nx)
     T = eye + U
@@ -304,8 +324,11 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     # P_N (I - Phi_N) converges to it at second order
     gain = r.feedback_gain(kern, tset)
     assert np.max(np.abs(gain - Phi[-1])) <= 1e-12 * max(1.0, np.max(np.abs(Phi[-1])))
-    ratio = gain_quadrature_gap(mu, nx, n_modes) / gain_quadrature_gap(mu, 2 * nx - 1, n_modes)
-    assert 3.5 <= ratio <= 4.5
+    # UW's closed form cancels as mu -> 0 (to rounding of about 1e-16 lambda_j / |mu|,
+    # and to exactly zero at mu = 0), so the order is checked away from 0
+    if abs(mu) >= 1e-6:
+        ratio = gain_quadrature_gap(mu, nx, n_modes) / gain_quadrature_gap(mu, 2 * nx - 1, n_modes)
+        assert 3.5 <= ratio <= 4.5
 
     assert np.max(np.abs((eye - Phi) @ T - eye)) < 1e-10
     assert np.max(np.abs(T @ (eye - Phi) - eye)) < 1e-10
@@ -318,6 +341,18 @@ def test_factored_paths_match_dense_oracles(mu, n_modes, nx, seed):
     assert norms.normT_l2 == pytest.approx(_weighted_l2_opnorm(T, wq), rel=1e-9)
     assert norms.normTinv_h1 == pytest.approx(_h1_opnorm(eye - Phi, S), rel=1e-9)
     assert norms.normT_h1 == pytest.approx(_h1_opnorm(T, S), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mu, n_modes", [(6.0, 1), (15.0, 2), (60.0, 3), (40.0, 8), (40.0, 64), (-20.0, 4)]
+)
+def test_build_matches_recursion_oracle(mu, n_modes):
+    # nx = 2000; at N = 64 the oracle's O(nx N^3) recursion is the slow side
+    kern = r.kernel_table(r.make_grid(1.0, 2000), mu, 1.0)
+    tset = r.build_transform(kern, n_modes)
+    X, scalars, bad = _recursion(kern, tset.basis)
+    assert bad == 0
+    _assert_matches_recursion(tset, X, scalars)
 
 
 def test_factored_build_allocates_no_dense_matrix():
@@ -368,7 +403,8 @@ def test_inverse_residual_matches_dense(exp2_kernel, row):
         T = dense_transform(tset)[0]
         dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ T - eye))
         assert dense > 1e-6
-        got = r.transform._inverse_residual(tset.UW, X, tset.basis)
+        M = r.transform._pivots(tset.UW, tset.basis)[0]
+        got = r.transform._inverse_residual(tset.UW, X, M, tset.basis)
         assert got >= dense * (1.0 - 1e-10)
         if n_modes == 1:
             assert got == pytest.approx(dense, rel=1e-10)
