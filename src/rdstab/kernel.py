@@ -5,25 +5,19 @@ The kernel solves the hyperbolic boundary-value problem
     nu * (k_xx - k_yy) + mu * k = 0   on the triangle 0 <= y <= x <= L,
     k(x, 0) = 0,   k(x, x) = -mu * x / (2 * nu),
 
-and has the explicit power series
+and has the closed form (Smyshlyaev & Krstic, IEEE TAC 49(12), 2004)
 
-    k(x, y) = -(mu * y) / (2 * nu)
-              * sum_{m >= 0} (-mu / (4 nu))^m (x^2 - y^2)^m / (m! (m+1)!).
+    k(x, y) = -(mu * y) / (2 * nu) * 2 J_1(w) / w,   w^2 = (mu / nu) (x^2 - y^2),
 
-``kernel_series`` sums the series at one point, term by term.
+with I_1 and |mu| in w for mu < 0, and -(mu * y) / (2 * nu) where w = 0.
+``kernel_series`` sums the paper's power series of k at one point.
 ``kernel_table`` only checks mu and nu and returns a ``Kernel``, a handle of
 (mu, nu, grid).  The set-up needs the kernel only through Upsilon W, which
 ``transform`` forms in closed form from mu and nu, so no design, scan or
-simulation forms the series.  It is formed on first read, as coefficients in
-zeta = (x^2 - y^2) / L^2, which lies in [0, 1] on the triangle:
-c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!).  The c_m are built recursively,
-since explicit factorials overflow doubles near m = 85; because zeta <= 1,
-a coefficient can only underflow once its term is already negligible.  The
-same recurrence picks the truncation order M, in O(nx M): it stops at the
-first M whose next term on the x = L row is below DEFAULT_KERNEL_TOL, and
-reports that term as the achieved gap.  The nx x nx table is formed from
-the coefficients by Horner's scheme in zeta only when ``Kernel.values`` is
-read (the kernel dump, the PDE residual check and dense reference code).
+simulation reads the kernel.  The nx x nx table is formed from the closed
+form only when ``Kernel.values`` is read (the kernel dump, the PDE residual
+check and dense reference code).  The handle also reports the series'
+truncation order M and achieved gap, formed by one O(nx M) recurrence.
 """
 
 from __future__ import annotations
@@ -54,6 +48,11 @@ __all__ = [
 
 def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float:
     """Partial sum of the kernel series at a single point.
+
+    The series alternates for mu > 0 and its terms grow like
+    exp(sqrt(mu (x^2 - y^2) / nu)) before they cancel, so the partial sum
+    loses every digit at large mu > 0; ``Kernel.values``, from the closed
+    form, does not.
 
     Parameters
     ----------
@@ -88,18 +87,15 @@ def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float
 class Kernel:
     """The kernel of one (mu, nu) on the grid's lower triangle: a handle of mu, nu and grid.
 
-    The truncated series (``coeffs``, ``order``, ``achieved_delta``) is formed
-    together on the first read of any of them, and the nx x nx table on the
-    first read of ``values``; a series that does not reach DEFAULT_KERNEL_TOL
-    within KERNEL_MAX_ORDER terms raises ConvergenceError there.
+    The nx x nx table is formed on the first read of ``values``, and the
+    series' order and achieved gap together on the first read of either; a
+    series that does not reach DEFAULT_KERNEL_TOL within KERNEL_MAX_ORDER
+    terms raises ConvergenceError there, and only there.
 
     Attributes
     ----------
-    coeffs : ndarray
-        c_0..c_M, so that k^M(x_i, y_j) = -(mu y_j / (2 nu)) sum_m c_m zeta_ij^m
-        with zeta_ij = (x_i^2 - y_j^2) / L^2; read-only.
     order : int
-        Truncation order M.
+        Truncation order M of the series.
     achieved_delta : float
         max |k^{M+1} - k^M| actually reached over the triangle, below
         DEFAULT_KERNEL_TOL.
@@ -110,70 +106,73 @@ class Kernel:
     grid: Grid
 
     @cached_property
-    def _series(self) -> tuple[np.ndarray, int, float]:
-        """(coeffs, order, achieved_delta) to the smallest order that meets DEFAULT_KERNEL_TOL.
+    def _series(self) -> tuple[int, float]:
+        """(order, achieved_delta) at the smallest order that meets DEFAULT_KERNEL_TOL.
 
-        One recurrence forms c_0, c_1, ... and the next series term on the
-        x = L row, where the gap max |k^{M+1} - k^M| over the triangle is
-        attained (the term grows with x at fixed y).
+        One recurrence forms c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!), the
+        coefficient of zeta^m with zeta = (x^2 - y^2) / L^2 (explicit
+        factorials overflow near m = 85), and the next term on the x = L row,
+        where the gap max |k^{M+1} - k^M| is attained.
         """
         L2 = self.grid.length**2
         q = -self.mu * L2 / (4.0 * self.nu)
         y = self.grid.nodes
         prefactor = -(self.mu * y) / (2.0 * self.nu)
         zeta_top = (L2 - y * y) / L2
-        coeffs = [1.0]
+        c_m = 1.0
         # overflow for absurd mu/nu just keeps the loop running into the cap error
         with np.errstate(over="ignore", invalid="ignore"):
             for order in range(KERNEL_MAX_ORDER + 1):
-                c_next = coeffs[-1] * q / ((order + 1) * (order + 2))
-                gap = float(np.max(np.abs(prefactor * c_next * zeta_top ** (order + 1))))
+                c_m = c_m * q / ((order + 1) * (order + 2))
+                gap = float(np.max(np.abs(prefactor * c_m * zeta_top ** (order + 1))))
                 if gap < DEFAULT_KERNEL_TOL:
                     break
-                coeffs.append(c_next)
             else:
                 raise ConvergenceError(
                     f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
                     f"within {KERNEL_MAX_ORDER} terms"
                 )
-        kept = np.array(coeffs)
-        kept.flags.writeable = False
-        return kept, order, gap
+        return order, gap
 
-    coeffs = property(lambda self: self._series[0])
-    order = property(lambda self: self._series[1])
-    achieved_delta = property(lambda self: self._series[2])
-
-    def _horner(self, zeta: np.ndarray) -> np.ndarray:
-        """sum_m c_m zeta^m by Horner's scheme, elementwise."""
-        out = np.full_like(zeta, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            out *= zeta
-            out += c
-        return out
+    order = property(lambda self: self._series[0])
+    achieved_delta = property(lambda self: self._series[1])
 
     @cached_property
     def values(self) -> np.ndarray:
-        """N_x x N_x table of k^M(x_i, y_j), 0 above the diagonal; read-only.
+        """N_x x N_x table of k(x_i, y_j), 0 above the diagonal; read-only.
 
-        Formed on first access, by Horner's scheme over the lower triangle in
-        row blocks of about BLOCK_ENTRIES entries.  Only the kernel dump, the
-        PDE residual and the dense reference operators read it.  A table
-        larger than physical memory is refused with InvalidParameterError.
+        Formed on first access from the closed form over the lower triangle,
+        in row blocks of about BLOCK_ENTRIES entries.  A table larger than
+        physical memory, or one that overflows a double (large mu < 0), is
+        refused with InvalidParameterError.
         """
+        # imported here alone: ``import rdstab`` does not load scipy.special,
+        # which would add about 2.5 MB to the peak memory of every run
+        from scipy.special import i1, j1
+
         g = self.grid
         check_table_fits(g.nx)
         y = g.nodes
-        L2 = g.length**2
+        scale = abs(self.mu) / self.nu
+        bessel = j1 if self.mu > 0 else i1
         prefactor = -(self.mu * y) / (2.0 * self.nu)
         values = np.zeros((g.nx, g.nx))
         rows = max(1, BLOCK_ENTRIES // g.nx)
-        for start in range(0, g.nx, rows):
-            stop = min(start + rows, g.nx)
-            x = y[start:stop, None]
-            block = self._horner((x - y[:stop]) * (x + y[:stop]) / L2)
-            block *= prefactor[:stop]
-            values[start:stop, :stop] = np.tril(block, start)
+        # w is NaN above the diagonal (tril drops it) and 2 J_1(w) / w is 0/0 on
+        # it (set to 1); an entry that overflows is refused below
+        with np.errstate(invalid="ignore", over="ignore"):
+            for start in range(0, g.nx, rows):
+                stop = min(start + rows, g.nx)
+                x = y[start:stop, None]
+                w = np.sqrt(scale * ((x - y[:stop]) * (x + y[:stop])))
+                ratio = 2.0 * bessel(w) / w
+                ratio[w == 0.0] = 1.0
+                values[start:stop, :stop] = np.tril(prefactor[:stop] * ratio, start)
+                if not np.isfinite(values[start:stop, :stop]).all():
+                    raise InvalidParameterError(
+                        f"the kernel of mu={self.mu}, nu={self.nu} on length {g.length} "
+                        "overflows a double"
+                    )
         values.flags.writeable = False
         return values
 

@@ -40,7 +40,13 @@ import numpy as np
 import scipy.linalg
 
 from .constants import ADMISSIBILITY_FLOOR, INVERSE_TOL
-from .errors import InadmissiblePairError, InvalidParameterError, SolverError, check_run_fits
+from .errors import (
+    InadmissiblePairError,
+    InvalidParameterError,
+    SolverError,
+    check_run_fits,
+    check_scalars,
+)
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
 from .spectral import ModalBasis, ProjectionMatrix, modal_basis, projection_matrix
@@ -232,6 +238,9 @@ def scan_admissibility(
     the pivots of I + M alone, in O(nx N^2), and each admissible row equals
     ``build_transform`` of its own kernel bit for bit.
     """
+    check_scalars(mu_min=mu_range[0], mu_max=mu_range[1])
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise InvalidParameterError(f"steps must be an integer, got {steps!r}")
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if steps < 2:
         raise InvalidParameterError(f"need at least 2 scan steps, got {steps}")

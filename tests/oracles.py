@@ -259,22 +259,21 @@ def truncate_order(mu: float, nu: float, grid: Grid) -> int:
 
 
 def kernel_series_two_pass(grid: Grid, mu: float, nu: float):
-    """(coeffs, order, achieved_delta) of the kernel to the order ``truncate_order`` picks.
+    """(order, achieved_delta) of the kernel series at the order ``truncate_order`` picks.
 
-    Forms the coefficients c_0..c_M and the achieved gap, the next series
-    term on the x = L row, where ``truncate_order`` locates its maximum.
+    Forms the coefficients c_0..c_{M+1} again and the achieved gap, the next
+    series term on the x = L row, where ``truncate_order`` locates its maximum.
     """
     order = truncate_order(mu, nu, grid)
     L2 = grid.length**2
     q = -mu * L2 / (4.0 * nu)
-    coeffs = [1.0]
+    c = 1.0
     for m in range(1, order + 2):
-        coeffs.append(coeffs[-1] * q / (m * (m + 1)))
+        c = c * q / (m * (m + 1))
     y = grid.nodes
     prefactor = -(mu * y) / (2.0 * nu)
     zeta_top = (L2 - y * y) / L2
-    achieved = float(np.max(np.abs(prefactor * coeffs[order + 1] * zeta_top ** (order + 1))))
-    return np.array(coeffs[: order + 1]), order, achieved
+    return order, float(np.max(np.abs(prefactor * c * zeta_top ** (order + 1))))
 
 
 def upsilon_projected(kernel: Kernel, basis: ModalBasis) -> np.ndarray:

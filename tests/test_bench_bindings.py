@@ -7,6 +7,8 @@ the benchmark's own self-test runs.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,20 @@ def test_trajectory_span_reads_a_run_without_history():
     traj = rdstab.run_simulation(rdstab.SimulationConfig(nx=40, nt=25), full_state=False)
     attrs = _load_layers()._trajectory(traj)
     assert attrs == {"steps": 24, "nx": 40, "newton_iters": 0}
+
+
+def test_kernel_span_reads_a_kernel():
+    # the traced run describes every kernel_table call by the series order
+    kern = rdstab.kernel_table(rdstab.make_grid(1.0, 200), 6.0, 1.0)
+    assert _load_layers()._kernel(kern) == {"order": 9, "nx": 200}
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only the kernel table reads scipy.special; every run's peak memory would pay for it
+    code = "import sys, rdstab; print('scipy.special' in sys.modules)"
+    src = str(Path(rdstab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -468,6 +468,7 @@ class TestExitCodes:
             (["design", "--rate", "nan"], "rate"),
             (["design", "--nu", "nan", "--minimal"], "nu"),
             (["kernel-dump", "--nu", "nan"], "nu"),
+            (["scan-admissibility", "--mu-min", "1", "--mu-max", "inf"], "mu_max"),
         ],
     )
     def test_non_finite_design_parameter(self, argv, name, capsys):

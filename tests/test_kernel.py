@@ -59,14 +59,44 @@ def test_truncation_orders_frozen():
 
 
 def test_truncation_raises_past_cap():
-    # the handle is built; the series raises where it is read
+    # the handle is built; the series raises where it is read, and the table,
+    # formed from the closed form, does not read it
     g = r.make_grid(1.0, 50)
     kern = r.kernel_table(g, 1e6, 1e-3)
-    for read in ("order", "coeffs", "achieved_delta", "values"):
+    for read in ("order", "achieved_delta"):
         with pytest.raises(ConvergenceError):
             getattr(kern, read)
     with pytest.raises(ConvergenceError):
         oracles.kernel_series_two_pass(g, 1e6, 1e-3)
+    assert np.all(np.isfinite(kern.values))
+    scale = np.max(np.abs(kern.values))
+    for i, j in ((49, 0), (49, 20), (30, 29), (10, 3), (49, 49)):
+        expect = closed_form(g.nodes[i], g.nodes[j], 1e6, 1e-3)
+        assert kern.values[i, j] == pytest.approx(expect, abs=1e-12 * scale)
+
+
+# k(1, 0.5) at mu = 2000, nu = 1: -(mu y / (2 nu)) 2 J_1(w) / w with w = sqrt(1500),
+# J_1 to 50 digits; a series table in doubles read -3.26 here (kernel_series at order 70: -2.48)
+PINNED_MU2000 = -0.83513039108281368
+
+
+def test_table_right_at_large_mu(tmp_path):
+    g = r.make_grid(1.0, 401)
+    got = r.kernel_table(g, 2000.0, 1.0).values[400, 200]
+    assert got == pytest.approx(PINNED_MU2000, rel=1e-13, abs=0.0)
+    assert r.cli.main(["kernel-dump", "--mu", "2000", "--nx", "401", "--out", str(tmp_path)]) == 0
+    row = (tmp_path / "kernel.csv").read_text().splitlines()[400].split(",")
+    assert float(row[0]) == 1.0 and float(row[1 + 200]) == got
+
+
+def test_table_that_overflows_refused():
+    # I_1 grows like e^w / sqrt(w): at mu = -1e6 the table overflows a double,
+    # at mu = -3e5 it does not (the series never converges there)
+    g = r.make_grid(1.0, 50)
+    kern = r.kernel_table(g, -1e6, 1.0)
+    with pytest.raises(InvalidParameterError, match=r"mu=-1000000.0, nu=1.0 on length 1.0"):
+        kern.values
+    assert np.all(np.isfinite(r.kernel_table(g, -3e5, 1.0).values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,10 +110,9 @@ def test_one_pass_table_matches_two_pass_oracle(mu, nu, length, nx):
     # the order decision and the reported gap come from one recurrence; the
     # oracle finds the order in one loop and forms the coefficients again
     g = r.make_grid(length, nx)
-    coeffs, order, achieved = oracles.kernel_series_two_pass(g, mu, nu)
+    order, achieved = oracles.kernel_series_two_pass(g, mu, nu)
     got = r.kernel_table(g, mu, nu)
     assert got.order == order
-    assert np.array_equal(got.coeffs, coeffs)
     assert got.achieved_delta == pytest.approx(achieved, rel=1e-15, abs=0.0)
     assert got.achieved_delta < DEFAULT_KERNEL_TOL
 
@@ -129,9 +158,6 @@ def test_table_formed_only_when_read(grid200):
     assert "values" not in vars(kern)
     assert kern.values.shape == (grid200.nx, grid200.nx)
     assert "values" in vars(kern)
-    assert kern.coeffs.shape == (kern.order + 1,) and kern.coeffs[0] == 1.0
-    with pytest.raises(ValueError):
-        kern.coeffs[0] = 2.0
 
 
 def test_table_larger_than_memory_refused(grid200, monkeypatch):
@@ -194,8 +220,12 @@ def test_series_formed_only_where_read(monkeypatch, capsys):
     r.design_rapid(1.0, 12.0, 1.0, 2.0, nx=60, smallness=True)
     r.design_minimal(1.0, 12.0, 1.0, nx=60, smallness=True)
     r.run_simulation(r.SimulationConfig(nx=60, nt=20, model="nonlinear"), full_state=False)
+    # the table comes from the closed form, so its readers need no series
+    assert kern.values.shape == (60, 60)
+    r.upsilon_matrix(kern)
+    r.kernel_pde_residual(kern)
     # what reads the series still forms it
-    for read in ("order", "coeffs", "achieved_delta", "values"):
+    for read in ("order", "achieved_delta"):
         with pytest.raises(ConvergenceError, match="series formed"):
             getattr(kern, read)
     assert r.cli.main(["kernel-dump", "--mu", "6", "--nx", "60"]) == ConvergenceError.exit_code == 4
@@ -205,6 +235,7 @@ def test_series_formed_only_where_read(monkeypatch, capsys):
 def test_series_formed_once():
     kern = r.kernel_table(r.make_grid(1.0, 200), 6.0, 1.0)
     assert vars(kern) == {"mu": 6.0, "nu": 1.0, "grid": kern.grid}
-    coeffs = kern.coeffs
-    assert "_series" in vars(kern)
-    assert kern.coeffs is coeffs and kern.order == 9
+    assert kern.order == 9
+    series = vars(kern)["_series"]
+    assert kern.achieved_delta == series[1]
+    assert vars(kern)["_series"] is series

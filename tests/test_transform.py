@@ -86,7 +86,10 @@ def test_upsilon_against_adaptive_quadrature():
                 assert abs(tset.UW[i, j - 1] - ref) / scale <= 1e-12
 
 
-@pytest.mark.parametrize("mu, nu, length", UPSILON_CASES + [(150.0, 1.0, 1.0), (1e-6, 1.0, 1.0)])
+# mu = 2000 only with mu > 0: at mu = -2000 both gaps are rounding of entries near 1e18
+@pytest.mark.parametrize(
+    "mu, nu, length", UPSILON_CASES + [(150.0, 1.0, 1.0), (1e-6, 1.0, 1.0), (2000.0, 1.0, 1.0)]
+)
 def test_trapezoidal_upsilon_converges_to_closed_form(mu, nu, length):
     # the gap between the dense trapezoidal table and the closed form falls
     # at second order: by a factor of about 4 per halving of dx
@@ -215,6 +218,15 @@ def test_scan_argument_validation():
         r.scan_admissibility(1.0, 1.0, 1, (1.0, 10.0), 1)
     with pytest.raises(InvalidParameterError):
         r.scan_admissibility(1.0, 1.0, 1, (10.0, 1.0), 5)
+    # the arguments are checked before any numerics run
+    with pytest.raises(InvalidParameterError, match="mu_max must be finite"):
+        r.scan_admissibility(1.0, 1.0, 1, (1.0, math.inf), 3)
+    with pytest.raises(InvalidParameterError, match="mu_min must be finite"):
+        r.scan_admissibility(1.0, 1.0, 1, (math.nan, 2.0), 3)
+    with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+        r.scan_admissibility(1.0, 1.0, 1, (1.0, 2.0), 2.5)
+    with pytest.raises(InvalidParameterError, match="steps must be an integer"):
+        r.scan_admissibility(1.0, 1.0, 1, (1.0, 2.0), True)
 
 
 def test_operator_norms_identity_for_zero_kernel(grid200):
