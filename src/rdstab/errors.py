@@ -118,6 +118,17 @@ class FitError(SolverError):
     """Decay-rate fitting failed (window too short or norms at machine zero)."""
 
 
+def check_integers(**values: int) -> None:
+    """Reject sizes and counts that are not integers (NumPy's included), and bools.
+
+    Raises :class:`InvalidParameterError` naming the first offending value.
+    """
+    for name, value in values.items():
+        # a plain int skips the slower abstract-class check
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def check_scalars(positive=(), **values: float) -> None:
     """Reject values that are not real numbers (bools included) or not finite,
     and non-positive ones among ``positive``.

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameterError
+from .errors import DimensionError, InvalidParameterError, check_integers
 
 __all__ = [
     "Grid",
@@ -79,7 +79,8 @@ class Grid:
 
 
 def make_grid(length: float, nx: int) -> Grid:
-    """Build the uniform grid on [0, length] with ``nx`` nodes."""
+    """Build the uniform grid on [0, length] with ``nx`` nodes; ``nx`` must be an integer."""
+    check_integers(nx=nx)
     return Grid(length=float(length), nx=int(nx))
 
 

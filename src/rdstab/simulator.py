@@ -63,6 +63,7 @@ from .errors import (
     NewtonDivergenceError,
     NonFiniteStateError,
     SolverError,
+    check_integers,
     check_run_fits,
     check_scalars,
 )
@@ -121,10 +122,8 @@ class SimulationConfig:
         return self.tmax / (self.nt - 1)
 
     def validate(self) -> None:
-        for name in ("nx", "nt", "n_modes", "newton_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        check_integers(nx=self.nx, nt=self.nt, n_modes=self.n_modes,
+                       newton_max_iter=self.newton_max_iter)
         if self.forcing is not None and not callable(self.forcing):
             raise InvalidParameterError(f"forcing must be None or callable, got {self.forcing!r}")
         check_scalars(

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import MAX_MODE_FRACTION
-from .errors import InvalidParameterError, ResolutionError
+from .errors import InvalidParameterError, ResolutionError, check_integers
 from .grid import Grid
 
 __all__ = [
@@ -53,19 +53,11 @@ class ModalBasis:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise InvalidParameterError(f"need at least one mode, got {self.n_modes}")
-        if self.n_modes > MAX_MODE_FRACTION * self.grid.nx:
-            raise ResolutionError(
-                f"{self.n_modes} modes under-resolved on {self.grid.nx} nodes "
-                f"(limit {int(MAX_MODE_FRACTION * self.grid.nx)})"
-            )
+        lam = mode_eigenvalues(self.grid, self.n_modes)
         L = self.grid.length
         n = np.arange(1, self.n_modes + 1)
         W = np.sqrt(2.0 / L) * np.sin(np.outer(self.grid.nodes, n) * np.pi / L)
-        lam = (n * np.pi / L) ** 2
         W.flags.writeable = False
-        lam.flags.writeable = False
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "eigenvalues", lam)
 
@@ -76,8 +68,27 @@ class ModalBasis:
         return self.W[:, n - 1]
 
 
+def mode_eigenvalues(grid: Grid, n_modes: int) -> np.ndarray:
+    """lambda_1 .. lambda_N of the first ``n_modes`` modes, without sampling them.
+
+    Refuses a count below one or more than the grid resolves, as
+    ``modal_basis`` does.
+    """
+    if n_modes < 1:
+        raise InvalidParameterError(f"need at least one mode, got {n_modes}")
+    if n_modes > MAX_MODE_FRACTION * grid.nx:
+        raise ResolutionError(
+            f"{n_modes} modes under-resolved on {grid.nx} nodes "
+            f"(limit {int(MAX_MODE_FRACTION * grid.nx)})"
+        )
+    lam = (np.arange(1, n_modes + 1) * np.pi / grid.length) ** 2
+    lam.flags.writeable = False
+    return lam
+
+
 def modal_basis(grid: Grid, n_modes: int) -> ModalBasis:
-    """Build the modal matrix for the first ``n_modes`` sine modes."""
+    """Build the modal matrix for the first ``n_modes`` sine modes; ``n_modes`` must be an integer."""
+    check_integers(n_modes=n_modes)
     return ModalBasis(grid=grid, n_modes=int(n_modes))
 
 

@@ -22,9 +22,14 @@ form in mu and nu (``_upsilon_modes``), so the set-up reads the kernel
 handle for mu, nu and the grid alone, forms neither the kernel series nor
 its table, and costs O(nx N^2), as does the certified upper bound on the
 residual of the inverse identity.  Nothing here forms an nx x nx array or
-does O(nx^2) work, and ``TransformSet`` holds the factors alone.  One
-elimination (``_pivots``) serves ``build_transform``, which raises at the
-first inadmissible a_j, and ``scan_admissibility``, which reports it.
+does O(nx^2) work, and ``TransformSet`` holds the factors alone.
+``build_transform`` forms M from the factors.  ``scan_admissibility`` forms
+the M of all its mu samples at once as exact discrete sums in closed form
+(``_scan_m``), so after the grid a scan costs O(steps N^2) to form and
+O(steps N^3) to eliminate, and touches nothing of size nx per sample; its
+a_j agree with the build's to rounding.
+One elimination (``_pivots``), of one M or of a stack, serves both: the
+build raises at the first inadmissible a_j, the scan reports it.
 ``upsilon_matrix``, the dense trapezoidal Upsilon read from the kernel
 table, is the one dense reference kept here; it converges to the closed
 form at second order in dx.
@@ -44,12 +49,13 @@ from .errors import (
     InadmissiblePairError,
     InvalidParameterError,
     SolverError,
+    check_integers,
     check_run_fits,
     check_scalars,
 )
 from .grid import Grid, make_grid, trapezoid_weights
 from .kernel import Kernel, kernel_table
-from .spectral import ModalBasis, ProjectionMatrix, modal_basis, projection_matrix
+from .spectral import ModalBasis, ProjectionMatrix, modal_basis, mode_eigenvalues, projection_matrix
 
 __all__ = [
     "TransformSet",
@@ -109,26 +115,78 @@ def _upsilon_modes(kernel: Kernel, basis: ModalBasis) -> np.ndarray:
     return UW
 
 
-def _pivots(UW: np.ndarray, basis: ModalBasis):
-    """M = dx W^T UW and a_j = (pivot j of I + M) - 1, by elimination without pivoting.
+def _scan_m(grid: Grid, eigenvalues: np.ndarray, nu: float, mus: np.ndarray) -> np.ndarray:
+    """M = dx W^T UW for each mu of ``mus`` as exact discrete sums, (steps, N, N) in O(steps N^2).
+
+    With phi = pi dx / L, W_ik = sqrt(2/L) sin(k i phi) and UW_ij = sqrt(2/L)
+    (sin(r_j j i phi) / r_j - sin(j i phi)) (``_upsilon_modes``), product to
+    sum turns each entry into Dirichlet sums C(a) = sum_{i < nx} cos(a i):
+
+        M_kj = (dx / L) Re[B(r_j) / r_j - B(1)],
+        B(s) = C(k phi - s j phi) - C(k phi + s j phi),
+
+    with r_j = sqrt(1 + mu / (nu lambda_j)) taken complex, so that the sinh
+    branch falls out.  Lagrange's identity C(a) = sin(nx a / 2)
+    cos((nx - 1) a / 2) / sin(a / 2) and (nx - 1) phi = pi turn B(s) into one
+    quotient with t = s j,
+
+        B(s) = (-1)^(k+1) sin(k phi) sin(pi t) / (2 sin((k - t) phi / 2) sin((k + t) phi / 2)),
+
+    whose factors keep their digits where t nears 0 or an integer (sin(pi t)
+    is reduced by the nearest integer, and k - t is exact near k); the
+    difference of two Dirichlet sums would lose eps / r_j as r_j nears 0.
+    The removable singularities take their limits: B(s) / s = (-1)^(k+1) j pi
+    cot(k phi / 2) at s = 0 (r_j = 0, mu = -nu lambda_j) and (nx - 1) / s at
+    t = k.  One expression forms B(r_j) and B(1), so M is exactly 0 at
+    mu = 0.  A sample whose sinh overflows gets non-finite entries.
+    """
+    n = len(eigenvalues)
+    j = np.arange(1, n + 1)
+    k = j[:, None]
+    half = 0.5 * np.pi * grid.dx / grid.length
+    r = np.sqrt(1.0 + mus[:, None] / (nu * eigenvalues) + 0j)
+    s = np.concatenate([r, np.ones((1, n))])[:, None, :]  # j on the last axis, k on the middle one
+    t = s * j
+    m = np.round(t.real)
+    sign = np.where(k % 2, 1.0, -1.0)
+    with np.errstate(all="ignore"):
+        sin_pit = np.where(m % 2, -1.0, 1.0) * np.sin(np.pi * (t - m))
+        Q = sign * np.sin(2 * half * k) * sin_pit / (2 * s * np.sin((k - t) * half) * np.sin((k + t) * half))
+        Q = np.where(t == k, (grid.nx - 1) / s, Q)
+    Q = np.where(s == 0, sign * np.pi * j / np.tan(half * k), Q).real
+    return grid.dx / grid.length * (Q[:-1] - Q[-1])
+
+
+def _pivots(M: np.ndarray):
+    """a_j = (pivot j of I + M) - 1, by elimination without pivoting, of M or of each M in a stack.
 
     It runs on M with the identity added to each pivot, so a_j has no
-    cancellation, and stops at the first |1 + a_j| <= ADMISSIBILITY_FLOOR.
-    Returns (M, scalars, bad): ``bad`` is that 1-based j (0 when every a_j is
-    admissible) and the scalars after it are NaN.  O(nx N^2).
+    cancellation, and stops each matrix at its first |1 + a_j| <=
+    ADMISSIBILITY_FLOOR.  Returns (scalars, bad): ``bad`` is that 1-based j
+    (0 when every a_j is admissible) and the scalars after it are NaN.  A
+    stack of shape (..., N, N) is eliminated elementwise over its leading
+    axes, so each matrix gets the bits it gets alone.  O(N^3) per matrix.
     """
-    n = basis.n_modes
-    M = basis.grid.dx * (basis.W.T @ UW)
+    n = M.shape[-1]
     S = M.copy()
-    scalars = np.full(n, np.nan)
+    scalars = np.empty(M.shape[:-1])
+    bad = np.zeros(M.shape[:-2], dtype=int)
+    stopped = False
     for j in range(n):
-        scalars[j] = S[j, j]
-        pivot = 1.0 + S[j, j]
-        if abs(pivot) <= ADMISSIBILITY_FLOOR:
-            return M, scalars, j + 1
+        a = S[..., j, j][()]  # a float for one M, a view for a stack
+        scalars[..., j] = a
+        pivot = 1.0 + a
+        fail = abs(pivot) <= ADMISSIBILITY_FLOOR
+        if fail is not np.False_ and fail.any():  # the identity test spares one M a reduction
+            stopped = True
+            bad[fail & (bad == 0)] = j + 1
+            if bad.all():
+                break
         if j + 1 < n:
-            S[j + 1:, j + 1:] -= np.outer(S[j + 1:, j] / pivot, S[j, j + 1:])
-    return M, scalars, 0
+            S[..., j + 1:, j + 1:] -= (S[..., j + 1:, j] / pivot[..., None])[..., None] * S[..., j, None, j + 1:]
+    if stopped:
+        scalars[(np.arange(n) >= bad[..., None]) & (bad[..., None] > 0)] = np.nan
+    return scalars, bad
 
 
 @dataclass(frozen=True)
@@ -180,9 +238,10 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
     basis = modal_basis(g, n_modes)
     P = projection_matrix(basis)
     UW = _upsilon_modes(kernel, basis)
-    M, scalars, bad = _pivots(UW, basis)
+    M = g.dx * (basis.W.T @ UW)
+    scalars, bad = _pivots(M)
     if bad:
-        raise InadmissiblePairError(bad, float(scalars[bad - 1]), ADMISSIBILITY_FLOOR)
+        raise InadmissiblePairError(int(bad), float(scalars[bad - 1]), ADMISSIBILITY_FLOOR)
     X = np.dot(UW, np.linalg.inv(np.eye(n_modes) + M))
     resid = _inverse_residual(UW, X, M, basis)
     if not resid <= INVERSE_TOL:
@@ -234,13 +293,16 @@ def scan_admissibility(
 
     A sample is inadmissible once some |1 + a_j| <= ADMISSIBILITY_FLOOR.
     Such samples are reported, never raised; past the first inadmissible
-    scalar the remaining entries of a row are NaN.  A sample forms M and
-    the pivots of I + M alone, in O(nx N^2), and each admissible row equals
-    ``build_transform`` of its own kernel bit for bit.
+    scalar the remaining entries of a row are NaN.  A row with a non-finite
+    scalar (a sinh that overflows, mu = -1e6 on nu = L = 1) is inadmissible
+    too.  The M of every sample is formed at once from its closed form
+    (``_scan_m``, O(steps N^2)) and the stack eliminated in one pass
+    (O(steps N^3)); after the grid, nothing of size nx is touched, and the
+    modes are not sampled.  Its scalars agree with ``build_transform``'s to
+    rounding.
     """
     check_scalars(mu_min=mu_range[0], mu_max=mu_range[1])
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise InvalidParameterError(f"steps must be an integer, got {steps!r}")
+    check_integers(steps=steps, n_modes=n_modes)
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if steps < 2:
         raise InvalidParameterError(f"need at least 2 scan steps, got {steps}")
@@ -248,13 +310,17 @@ def scan_admissibility(
         raise InvalidParameterError(f"empty scan range ({lo}, {hi})")
     check_run_fits(nx, n_modes)
     g = make_grid(length, nx)
-    basis = modal_basis(g, n_modes)
-    rows = []
-    for mu in np.linspace(lo, hi, steps):
-        kern = kernel_table(g, float(mu), nu)
-        _, scalars, bad = _pivots(_upsilon_modes(kern, basis), basis)
-        rows.append(ScanRow(mu=kern.mu, scalars=tuple(scalars), admissible=not bad))
-    return rows
+    eigenvalues = mode_eigenvalues(g, n_modes)
+    mus = np.linspace(lo, hi, steps)
+    for mu in mus:
+        kernel_table(g, float(mu), nu)  # the checks of (mu, nu) that a build's kernel passes
+    with np.errstate(all="ignore"):  # a row with a non-finite a_j is reported inadmissible
+        scalars, bad = _pivots(_scan_m(g, eigenvalues, float(nu), mus))
+    admissible = (bad == 0) & np.isfinite(scalars).all(axis=1)
+    return [
+        ScanRow(mu=mu, scalars=tuple(a), admissible=ok)
+        for mu, a, ok in zip(mus.tolist(), scalars.tolist(), admissible.tolist())
+    ]
 
 
 def sign_change_brackets(rows: Sequence[ScanRow]) -> list[tuple[int, float, float]]:
@@ -294,9 +360,9 @@ def _rank_n_opnorm(A: np.ndarray, B: np.ndarray) -> float:
     and the identity on its complement, which is nonempty since 2N < nx.
     """
     n_modes = A.shape[1]
-    _, R = np.linalg.qr(np.hstack([A, B]))
+    R = np.linalg.qr(np.hstack([A, B]), mode="r")
     small = np.eye(2 * n_modes) + R[:, :n_modes] @ R[:, n_modes:].T
-    return max(1.0, float(np.linalg.norm(small, 2)))
+    return max(1.0, float(np.linalg.svd(small, compute_uv=False)[0]))
 
 
 def _h1_factor(grid: Grid) -> np.ndarray:

@@ -19,6 +19,9 @@ order is found by one loop, then the coefficients and the achieved gap are
 formed again to that order.
 ``upsilon_projected`` is the dense Upsilon P_N from the closed form of
 Upsilon e_j, coded apart from ``rdstab.transform``, for ``phi_apply_recursive``.
+``discrete_m`` sums M = dx W^T UW of the sampled closed form in
+``np.longdouble``, and ``longdouble_pivots`` eliminates it in the same
+precision: the oracles of the scan's closed-form M and of its a_j.
 ``gain_quadrature_gap`` measures the feedback gain against the trapezoid of
 the kernel's x = L row, an independent quadrature of the same integral.
 """
@@ -306,3 +309,39 @@ def gain_quadrature_gap(mu: float, nx: int, n_modes: int) -> float:
     lead = trapezoid_weights(grid) * kern.values[-1]
     direct = lead @ tset.P.matrix @ (np.eye(nx) - phi)
     return float(np.max(np.abs(gain - direct)) / np.max(np.abs(gain)))
+
+
+def discrete_m(nu: float, length: float, n_modes: int, mu: float, nx: int) -> np.ndarray:
+    """M = dx W^T UW summed over the nodes i L / (nx - 1) in np.longdouble.
+
+    W_ij = sqrt(2/L) sin(theta_j) and UW_ij = sqrt(2/L) sin(r theta_j) / r
+    - W_ij, with theta_j = j pi x_i / L and r^2 = 1 + mu L^2 / (nu j^2 pi^2)
+    (sinh for r^2 < 0, theta for r = 0); every sample, product and sum is
+    formed in extended precision.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    L = ld(length)
+    j = np.arange(1, n_modes + 1, dtype=ld)
+    theta = np.outer(np.arange(nx, dtype=ld) / (nx - 1), j) * pi
+    W = np.sqrt(2 / L) * np.sin(theta)
+    UW = np.empty_like(W)
+    for c, q in enumerate(1 + ld(mu) * L * L / (ld(nu) * (j * pi) ** 2)):
+        rr = np.sqrt(abs(q))
+        if q > 0:
+            UW[:, c] = np.sin(rr * theta[:, c]) / rr
+        elif q < 0:
+            UW[:, c] = np.sinh(rr * theta[:, c]) / rr
+        else:
+            UW[:, c] = theta[:, c]
+    UW = np.sqrt(2 / L) * UW - W
+    return L / (nx - 1) * (W.T @ UW)
+
+
+def longdouble_pivots(M: np.ndarray) -> np.ndarray:
+    """a_j = (pivot j of I + M) - 1 by elimination without pivoting, in np.longdouble."""
+    S = np.array(M, dtype=np.longdouble)
+    n = len(S)
+    for j in range(n - 1):
+        S[j + 1:, j + 1:] -= np.outer(S[j + 1:, j] / (1 + S[j, j]), S[j, j + 1:])
+    return np.diagonal(S).copy()

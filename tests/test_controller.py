@@ -303,6 +303,10 @@ class TestDesignReports:
         assert not rep.decaying
         assert rep.smallness_bound is None
 
+    def test_fixed_design_refuses_non_integer_modes(self):
+        with pytest.raises(InvalidParameterError, match="n_modes must be an integer, got 1.5"):
+            r.design_fixed(1.0, 15.0, 15.0, 1.5)
+
     def test_report_serializes(self):
         rep = r.design_fixed(1.0, 15.0, 15.0, 2)
         blob = json.dumps(rep.to_dict(), sort_keys=True)

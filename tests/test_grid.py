@@ -37,6 +37,11 @@ def test_grid_validation():
         r.make_grid(-1.0, 10)
     with pytest.raises(InvalidParameterError):
         r.make_grid(1.0, 1)
+    # a size must be an integer: 50.5 is refused, not truncated to 50 nodes
+    for nx in (50.5, 50.0, "50", True):
+        with pytest.raises(InvalidParameterError, match="nx must be an integer"):
+            r.make_grid(1.0, nx)
+    assert r.make_grid(1.0, np.int64(50)).nx == 50
 
 
 def test_check_vector_shape():

@@ -38,6 +38,14 @@ def test_mode_count_cap(grid200):
     r.modal_basis(grid200, 50)
 
 
+def test_mode_count_must_be_integer(grid200):
+    # 1.5 modes is refused, not truncated to one
+    for n_modes in (1.5, 2.0, True):
+        with pytest.raises(InvalidParameterError, match="n_modes must be an integer"):
+            r.modal_basis(grid200, n_modes)
+    assert r.modal_basis(grid200, np.int32(2)).n_modes == 2
+
+
 def test_projection_idempotent_symmetric(grid200):
     P = r.projection_matrix(r.modal_basis(grid200, 4)).matrix
     assert np.max(np.abs(P - P.T)) == 0.0

@@ -4,16 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import i1, j1
 
 import rdstab as r
 from rdstab.constants import ADMISSIBILITY_FLOOR, REFERENCE_SCALAR_TOL
-from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError
+from rdstab.errors import DimensionError, InadmissiblePairError, InvalidParameterError, SolverError
 from oracles import (
     dense_transform,
+    discrete_m,
     gain_quadrature_gap,
+    longdouble_pivots,
     phi_apply_recursive,
     phi_recursion,
     upsilon_projected,
@@ -206,11 +208,25 @@ def test_scan_marks_inadmissible_row_with_nan(a1_root):
     assert math.isfinite(mid.scalars[0])
     assert abs(1.0 + mid.scalars[0]) <= ADMISSIBILITY_FLOOR
     assert math.isnan(mid.scalars[1])
-    # and the build raises at that mu, with the scalar the scan recorded
+    # and the build raises at that mu, with the scalar the scan recorded to
+    # rounding (4.4e-16 apart): the scan sums M in closed form, the build
+    # forms it from the sampled factors
     with pytest.raises(InadmissiblePairError) as exc:
         r.build_transform(r.kernel_table(r.make_grid(1.0, 80), mid.mu, 1.0), 2)
     assert exc.value.index == 1
-    assert exc.value.value == mid.scalars[0]
+    assert exc.value.value == pytest.approx(mid.scalars[0], abs=1e-13)
+
+
+def test_scan_marks_non_finite_row_inadmissible():
+    # at mu = -1e6 the sinh of Upsilon e_1 overflows: the scan reports the
+    # rows inadmissible, and the build refuses the pair through its residual
+    rows = r.scan_admissibility(1, 1, 1, (-1.2e6, -1e6), 2, nx=80)
+    assert len(rows) == 2
+    for row in rows:
+        assert not math.isfinite(row.scalars[0])
+        assert not row.admissible
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="inverse identity residual nan"):
+        r.build_transform(r.kernel_table(r.make_grid(1.0, 80), -1e6, 1.0), 1)
 
 
 def test_scan_argument_validation():
@@ -223,10 +239,22 @@ def test_scan_argument_validation():
         r.scan_admissibility(1.0, 1.0, 1, (1.0, math.inf), 3)
     with pytest.raises(InvalidParameterError, match="mu_min must be finite"):
         r.scan_admissibility(1.0, 1.0, 1, (math.nan, 2.0), 3)
+    with pytest.raises(InvalidParameterError, match="nu must be positive"):
+        r.scan_admissibility(0.0, 1.0, 1, (1.0, 2.0), 3)
     with pytest.raises(InvalidParameterError, match="steps must be an integer"):
         r.scan_admissibility(1.0, 1.0, 1, (1.0, 2.0), 2.5)
     with pytest.raises(InvalidParameterError, match="steps must be an integer"):
         r.scan_admissibility(1.0, 1.0, 1, (1.0, 2.0), True)
+    # a non-integer size is refused, not truncated
+    with pytest.raises(InvalidParameterError, match="nx must be an integer"):
+        r.scan_admissibility(1.0, 1.0, 1, (1.0, 2.0), 3, nx=50.5)
+    with pytest.raises(InvalidParameterError, match="n_modes must be an integer"):
+        r.scan_admissibility(1.0, 1.0, 1.5, (1.0, 2.0), 3)
+
+
+def test_build_refuses_non_integer_modes(exp1_kernel):
+    with pytest.raises(InvalidParameterError, match="n_modes must be an integer, got 1.5"):
+        r.build_transform(exp1_kernel, 1.5)
 
 
 def test_operator_norms_identity_for_zero_kernel(grid200):
@@ -386,19 +414,75 @@ def test_factored_build_allocates_no_dense_matrix():
     assert "matrix" not in vars(tset.P)
 
 
-def test_scan_rows_equal_builds_bit_for_bit():
-    # each admissible scan row must equal a build from that sample's own kernel
+def test_scan_rows_match_builds_against_oracle():
+    # each admissible scan row and the build from that sample's own kernel
+    # against the a_j of the discrete M summed and eliminated in long double:
+    # the scan's worst error is no larger than the build's (1.1e-13 against
+    # 2.6e-12 when this test was written)
     nx = 150
     g = r.make_grid(1.0, nx)
     rows = r.scan_admissibility(1.0, 1.0, 3, (-10.0, 62.0), 13, nx=nx)
     orders = set()
+    scan_err, build_err = [], []
     for row in rows:
         kern = r.kernel_table(g, row.mu, 1.0)
         orders.add(kern.order)
         if row.admissible:
-            assert row.scalars == tuple(r.build_transform(kern, 3).admissibility)
+            ref = longdouble_pivots(discrete_m(1.0, 1.0, 3, row.mu, nx))
+            scan_err.append(float(np.max(np.abs(np.array(row.scalars) - ref))))
+            build = r.build_transform(kern, 3).admissibility
+            build_err.append(float(np.max(np.abs(build - ref))))
+    assert max(scan_err) <= max(build_err)
+    assert max(scan_err) <= 1e-12
     assert sum(row.admissible for row in rows) >= 10
     assert len(orders) > 3
+
+
+# (mu, N, nx) pinned besides the drawn ones: the sinh branch at the low end,
+# r_1 = 0 (mu = -lambda_1), r_2 = 0, mu = 0, r_1 = 2 (t = k for k = 2, j = 1)
+# and the high end
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(-60.0, 2000.0), n_modes=st.integers(1, 4), nx=st.integers(40, 2000))
+@example(mu=-60.0, n_modes=4, nx=2000)
+@example(mu=-r.eigenvalue(1, 1.0), n_modes=3, nx=300)
+@example(mu=-r.eigenvalue(2, 1.0), n_modes=4, nx=1999)
+@example(mu=0.0, n_modes=4, nx=40)
+@example(mu=3.0 * r.eigenvalue(1, 1.0), n_modes=2, nx=1000)
+@example(mu=2000.0, n_modes=4, nx=2000)
+def test_scan_m_matches_longdouble_sums(mu, n_modes, nx):
+    g = r.make_grid(1.0, nx)
+    basis = r.modal_basis(g, n_modes)
+    M = r.transform._scan_m(g, basis.eigenvalues, 1.0, np.array([mu]))[0]
+    ref = discrete_m(1.0, 1.0, n_modes, mu, nx)
+    assert np.max(np.abs(M - ref)) <= 2e-15 * max(1.0, float(np.max(np.abs(ref))))
+    if mu == 0.0:
+        assert np.max(np.abs(M)) == 0.0
+
+
+def test_scan_zero_for_zero_kernel():
+    # the sample at mu = 0 is exactly zero, as the build's is
+    # (test_phi_zero_for_zero_kernel)
+    rows = r.scan_admissibility(1.0, 1.0, 3, (-1.0, 1.0), 3)
+    assert rows[1].mu == 0.0
+    assert rows[1].scalars == (0.0, 0.0, 0.0)
+    assert rows[1].admissible
+    g = r.make_grid(1.0, 200)
+    M = r.transform._scan_m(g, r.modal_basis(g, 3).eigenvalues, 1.0, np.array([0.0, -0.0]))
+    assert np.max(np.abs(M)) == 0.0
+
+
+def test_scan_forms_no_upsilon_modes(monkeypatch):
+    # the scan sums M in closed form; it samples neither Upsilon W nor the
+    # modes W on the grid
+    def refuse(*args):
+        raise AssertionError("sampled on the grid")
+
+    monkeypatch.setattr(r.transform, "_upsilon_modes", refuse)
+    monkeypatch.setattr(r.transform, "modal_basis", refuse)
+    rows = r.scan_admissibility(1.0, 1.0, 2, (1.0, 40.0), 40, nx=1000)
+    assert len(rows) == 40
+    with pytest.raises(AssertionError, match="sampled on the grid"):
+        r.build_transform(r.kernel_table(r.make_grid(1.0, 50), 6.0, 1.0), 1)
 
 
 @pytest.mark.parametrize("row", [0, 14, 199])
@@ -415,7 +499,7 @@ def test_inverse_residual_matches_dense(exp2_kernel, row):
         T = dense_transform(tset)[0]
         dense = np.max(np.abs((eye - tset.grid.dx * X @ tset.basis.W.T) @ T - eye))
         assert dense > 1e-6
-        M = r.transform._pivots(tset.UW, tset.basis)[0]
+        M = tset.grid.dx * (tset.basis.W.T @ tset.UW)
         got = r.transform._inverse_residual(tset.UW, X, M, tset.basis)
         assert got >= dense * (1.0 - 1e-10)
         if n_modes == 1:
