@@ -6,7 +6,7 @@ design              closed-form controller design (--rate or --minimal)
 simulate            one simulation run from flags and/or a JSON config file
 experiment          canned reproduction runs exp1/exp2 (+ uncontrolled twins)
 scan-admissibility  sweep mu and report the admissibility scalars
-kernel-dump         tabulate the feedback kernel on the grid
+kernel-dump         write the feedback kernel table on the grid to --out
 
 Run defaults are the field defaults of ``SimulationConfig``.  Exit codes: 0
 on success, a package error's own ``exit_code`` (see ``rdstab.errors``), and 2
@@ -141,7 +141,7 @@ def run_experiment(
         )
     config = SimulationConfig(nx=nx, nt=nt, **EXPERIMENT_PRESETS[preset])
     config.validate()
-    check_run_fits(config.nx, config.n_modes, config.nt, full_state)  # before the design allocates
+    check_run_fits(config.nx, config.n_modes, config.nt, int(full_state))  # before the design allocates
     report = design_fixed(
         config.nu, config.alpha, config.mu, config.n_modes, config.length,
         nx=config.nx, smallness=(config.model == "nonlinear"),
@@ -370,7 +370,8 @@ def _cmd_scan(args) -> int:
     text = "\n".join(lines)
     print(text)
     for j, lo, hi in sign_change_brackets(rows):
-        print(f"sign change of 1 + a_{j} inside ({_FMT % lo}, {_FMT % hi})", file=sys.stderr)
+        minor = "1 + a_1" if j == 1 else "".join(f"(1 + a_{i})" for i in range(1, j + 1))
+        print(f"sign change of {minor} inside ({_FMT % lo}, {_FMT % hi})", file=sys.stderr)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -379,17 +380,14 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
-    # before the grid, so nothing is allocated
-    check_run_fits(args.nx, 0)
-    if args.out:
-        check_table_fits(args.nx)
+    if not args.out:
+        raise InvalidParameterError("kernel-dump writes its table to --out DIR; give --out")
+    check_table_fits(args.nx)  # before the grid, so nothing is allocated
     grid = make_grid(args.length, args.nx)
-    kern = kernel_table(grid, args.mu, args.nu)
-    print(f"series order: {kern.order}  achieved increment: {kern.achieved_delta:.3e}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "kernel.csv", None, (grid.nodes, *kern.values.T))
+    values = kernel_table(grid, args.mu, args.nu).values
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "kernel.csv", None, (grid.nodes, *values.T))
     return 0
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "RdstabError",
     "InvalidParameterError",
     "DimensionError",
-    "DomainError",
     "ResolutionError",
     "InfeasibleRateError",
     "DegenerateSpectrumError",
@@ -44,10 +43,6 @@ class InvalidParameterError(RdstabError, ValueError):
 
 class DimensionError(InvalidParameterError):
     """Array arguments do not match the grid or each other in shape."""
-
-
-class DomainError(InvalidParameterError):
-    """A point lies outside the triangular kernel domain 0 <= y <= x <= L."""
 
 
 class ResolutionError(InvalidParameterError):
@@ -168,14 +163,15 @@ def check_fits(need: int, what: str) -> None:
         )
 
 
-def check_run_fits(nx: int, n_modes: int, nt: int = 0, history: bool = False) -> None:
+def check_run_fits(nx: int, n_modes: int, nt: int = 0, histories: int = 0) -> None:
     """Refuse a set-up, scan or march larger than physical memory, before anything is allocated.
 
     Counts 8-byte entries: the nt-long records of a march (times, controls,
-    two norms, Newton counts), the (nt, nx) history where ``history`` keeps
-    it, and a working set of 8 N + 32 vectors of nx (the nx x N factors and
-    the march's vectors; 8 N + 17 measured under tracemalloc).
+    two norms, Newton counts), the ``histories`` (nt, nx) arrays held at once
+    (one for a run that keeps its state history), and a working set of
+    8 N + 32 vectors of nx (the nx x N factors and the march's vectors;
+    8 N + 17 measured under tracemalloc).
     """
-    need = 8 * (5 * nt + nx * (8 * n_modes + 32) + (nt * nx if history else 0))
+    need = 8 * (5 * nt + nx * (8 * n_modes + 32) + histories * nt * nx)
     check_fits(need, f"a problem of nx = {nx}, N = {n_modes}" + (f", nt = {nt}" if nt else "")
-               + (" with the state history" if history else ""))
+               + (f" holding {histories} (nt, nx) arrays" if histories else ""))

@@ -49,8 +49,8 @@ class Grid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise InvalidParameterError(f"domain length must be positive, got {self.length}")
+        if not 0.0 < self.length < math.inf:
+            raise InvalidParameterError(f"length must be finite and positive, got {self.length}")
         if self.nx < 2:
             raise InvalidParameterError(f"need at least 2 nodes, got {self.nx}")
         dx = self.length / (self.nx - 1)

@@ -10,14 +10,14 @@ and has the closed form (Smyshlyaev & Krstic, IEEE TAC 49(12), 2004)
     k(x, y) = -(mu * y) / (2 * nu) * 2 J_1(w) / w,   w^2 = (mu / nu) (x^2 - y^2),
 
 with I_1 and |mu| in w for mu < 0, and -(mu * y) / (2 * nu) where w = 0.
-``kernel_series`` sums the paper's power series of k at one point.
 ``kernel_table`` only checks mu and nu and returns a ``Kernel``, a handle of
 (mu, nu, grid).  The set-up needs the kernel only through Upsilon W, which
 ``transform`` forms in closed form from mu and nu, so no design, scan or
 simulation reads the kernel.  The nx x nx table is formed from the closed
 form only when ``Kernel.values`` is read (the kernel dump, the PDE residual
-check and dense reference code).  The handle also reports the series'
-truncation order M and achieved gap, formed by one O(nx M) recurrence.
+check and dense reference code).  The handle also reports the truncation
+order M of the paper's power series, formed by one O(nx M) recurrence that
+nothing in the package reads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .constants import BLOCK_ENTRIES, DEFAULT_KERNEL_TOL, KERNEL_MAX_ORDER
 from .errors import (
     ConvergenceError,
     DimensionError,
-    DomainError,
     InvalidParameterError,
     check_fits,
     check_scalars,
@@ -40,47 +39,9 @@ from .grid import Grid
 
 __all__ = [
     "Kernel",
-    "kernel_series",
     "kernel_table",
     "kernel_pde_residual",
 ]
-
-
-def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float:
-    """Partial sum of the kernel series at a single point.
-
-    The series alternates for mu > 0 and its terms grow like
-    exp(sqrt(mu (x^2 - y^2) / nu)) before they cancel, so the partial sum
-    loses every digit at large mu > 0; ``Kernel.values``, from the closed
-    form, does not.
-
-    Parameters
-    ----------
-    x, y : float
-        Evaluation point with 0 <= y <= x.
-    mu, nu : float
-        Damping coefficient and diffusivity.
-    order : int
-        Number of series terms beyond the leading one (M >= 0).
-
-    Returns
-    -------
-    float
-        k^M(x, y).
-    """
-    check_scalars(nu=nu, mu=mu, positive=("nu",))
-    if order < 0:
-        raise InvalidParameterError(f"truncation order must be >= 0, got {order}")
-    if y < 0 or y > x:
-        raise DomainError(f"point (x={x}, y={y}) outside the triangle 0 <= y <= x")
-    z = (x - y) * (x + y)
-    q = -mu / (4.0 * nu)
-    term = 1.0
-    total = 1.0
-    for m in range(order):
-        term *= q * z / ((m + 1) * (m + 2))
-        total += term
-    return -(mu * y) / (2.0 * nu) * total
 
 
 @dataclass(frozen=True)
@@ -88,17 +49,9 @@ class Kernel:
     """The kernel of one (mu, nu) on the grid's lower triangle: a handle of mu, nu and grid.
 
     The nx x nx table is formed on the first read of ``values``, and the
-    series' order and achieved gap together on the first read of either; a
-    series that does not reach DEFAULT_KERNEL_TOL within KERNEL_MAX_ORDER
-    terms raises ConvergenceError there, and only there.
-
-    Attributes
-    ----------
-    order : int
-        Truncation order M of the series.
-    achieved_delta : float
-        max |k^{M+1} - k^M| actually reached over the triangle, below
-        DEFAULT_KERNEL_TOL.
+    series' order on the first read of ``order``; a series that does not
+    reach DEFAULT_KERNEL_TOL within KERNEL_MAX_ORDER terms raises
+    ConvergenceError there, and only there.
     """
 
     mu: float
@@ -106,8 +59,8 @@ class Kernel:
     grid: Grid
 
     @cached_property
-    def _series(self) -> tuple[int, float]:
-        """(order, achieved_delta) at the smallest order that meets DEFAULT_KERNEL_TOL.
+    def order(self) -> int:
+        """Truncation order M of the series: the smallest that meets DEFAULT_KERNEL_TOL.
 
         One recurrence forms c_m = (-mu L^2 / (4 nu))^m / (m! (m+1)!), the
         coefficient of zeta^m with zeta = (x^2 - y^2) / L^2 (explicit
@@ -124,18 +77,12 @@ class Kernel:
         with np.errstate(over="ignore", invalid="ignore"):
             for order in range(KERNEL_MAX_ORDER + 1):
                 c_m = c_m * q / ((order + 1) * (order + 2))
-                gap = float(np.max(np.abs(prefactor * c_m * zeta_top ** (order + 1))))
-                if gap < DEFAULT_KERNEL_TOL:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
-                    f"within {KERNEL_MAX_ORDER} terms"
-                )
-        return order, gap
-
-    order = property(lambda self: self._series[0])
-    achieved_delta = property(lambda self: self._series[1])
+                if np.max(np.abs(prefactor * c_m * zeta_top ** (order + 1))) < DEFAULT_KERNEL_TOL:
+                    return order
+        raise ConvergenceError(
+            f"kernel series did not reach tol={DEFAULT_KERNEL_TOL:.1e} "
+            f"within {KERNEL_MAX_ORDER} terms"
+        )
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -408,7 +408,7 @@ def run_simulation(config: SimulationConfig, full_state: bool = True) -> Traject
     the truncated trajectory attached as ``err.partial``.
     """
     config.validate()
-    check_run_fits(config.nx, config.n_modes, config.nt, full_state)
+    check_run_fits(config.nx, config.n_modes, config.nt, int(full_state))
     grid = make_grid(config.length, config.nx)
     u0 = initial_state(config, grid)
     gain = _feedback_row(config, grid) if config.dynamics == "closed_loop" else None
@@ -551,9 +551,11 @@ def run_target_consistency(config: SimulationConfig):
 
     Returns (plant trajectory, target trajectory, mismatch) where
     mismatch[n] = ||u^n - T w^n||_2 / ||u0||_2 with w0 = (I - Phi) u0.
+    At its peak it holds three (nt, nx) arrays: both histories and T w,
+    which becomes the difference in place.
     """
     config.validate()
-    check_run_fits(config.nx, config.n_modes, config.nt, history=True)
+    check_run_fits(config.nx, config.n_modes, config.nt, histories=3)
     if config.model != "linear":
         raise InvalidParameterError("target consistency is defined for the linear model")
     grid = make_grid(config.length, config.nx)
@@ -565,5 +567,6 @@ def run_target_consistency(config: SimulationConfig):
     tset = build_transform(kern, config.n_modes)
     traj_u = _march(replace(config, dynamics="closed_loop"), grid, u0, feedback_gain(kern, tset))
     traj_w = _march(replace(config, dynamics="target"), grid, inverse_transform(tset, u0), None)
-    mismatch = l2_norm(traj_u.states - forward_transform(tset, traj_w.states), grid) / denom
+    diff = forward_transform(tset, traj_w.states)
+    mismatch = l2_norm(np.subtract(traj_u.states, diff, out=diff), grid) / denom
     return traj_u, traj_w, mismatch

@@ -261,9 +261,15 @@ def build_transform(kernel: Kernel, n_modes: int) -> TransformSet:
 
 
 def forward_transform(tset: TransformSet, w: np.ndarray) -> np.ndarray:
-    """u = w + Upsilon P_N w, for one vector or each row of a (k, nx) stack."""
+    """u = w + Upsilon P_N w, for one vector or each row of a (k, nx) stack.
+
+    The sum is formed in the product's own array, so a stack costs one
+    array of its size.
+    """
     w = tset.grid.check_stack(w)
-    return w + (tset.grid.dx * (w @ tset.basis.W)) @ tset.UW.T
+    u = (tset.grid.dx * (w @ tset.basis.W)) @ tset.UW.T
+    u += w
+    return u
 
 
 def inverse_transform(tset: TransformSet, u: np.ndarray) -> np.ndarray:
@@ -324,19 +330,20 @@ def scan_admissibility(
 
 
 def sign_change_brackets(rows: Sequence[ScanRow]) -> list[tuple[int, float, float]]:
-    """Bracket sign changes of 1 + a_j between consecutive scan samples.
+    """Bracket sign changes of the leading principal minors D_j of I + M between consecutive samples.
 
-    Returns (j, mu_lo, mu_hi) triples, 1-based j.  A sign change of
-    1 + a_j brackets a mu where the transform loses invertibility.
+    Returns (j, mu_lo, mu_hi) triples, 1-based j.  D_j = prod_{i <= j} (1 + a_i)
+    vanishes where the transform of j modes loses invertibility; 1 + a_j =
+    D_j / D_{j-1} also changes sign at a pole, a zero of D_{j-1}, which is
+    not reported under j.  The sign of D_j is the product of the signs of
+    the 1 + a_i, so no product overflows; a pair with a NaN among them is
+    skipped.
     """
-    out = []
-    for prev, curr in zip(rows, rows[1:]):
-        for j, (ap, ac) in enumerate(zip(prev.scalars, curr.scalars), start=1):
-            if np.isnan(ap) or np.isnan(ac):
-                continue
-            if (1.0 + ap) * (1.0 + ac) < 0.0:
-                out.append((j, prev.mu, curr.mu))
-    return out
+    if len(rows) < 2:
+        return []
+    sign = np.cumprod(np.sign(1.0 + np.array([row.scalars for row in rows])), axis=1)
+    flips = zip(*np.nonzero(sign[:-1] * sign[1:] < 0.0))
+    return [(int(j) + 1, rows[n].mu, rows[n + 1].mu) for n, j in flips]
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ Phi_j = X (dx W_j^T), level by level in O(nx N^3), apart from the N x N
 elimination of ``rdstab.transform``.  ``phi_apply_recursive`` applies Phi_N by
 a per-vector level scheme, independent of both; ``dense_transform`` expands
 a transform set's nx x N factors into the dense T and Phi_N.
-``truncate_order`` and ``kernel_series_two_pass`` form the kernel series in
-two passes, apart from the one recurrence of ``rdstab.kernel.Kernel``: the
-order is found by one loop, then the coefficients and the achieved gap are
-formed again to that order.
+``kernel_series`` sums the paper's power series of the kernel at one point,
+the oracle of the closed-form table at moderate mu, and ``truncate_order``
+finds the series' order by a loop of its own, apart from the recurrence of
+``rdstab.kernel.Kernel.order``.
 ``upsilon_projected`` is the dense Upsilon P_N from the closed form of
 Upsilon e_j, coded apart from ``rdstab.transform``, for ``phi_apply_recursive``.
 ``discrete_m`` sums M = dx W^T UW of the sampled closed form in
@@ -261,22 +261,27 @@ def truncate_order(mu: float, nu: float, grid: Grid) -> int:
     )
 
 
-def kernel_series_two_pass(grid: Grid, mu: float, nu: float):
-    """(order, achieved_delta) of the kernel series at the order ``truncate_order`` picks.
+def kernel_series(x: float, y: float, mu: float, nu: float, order: int) -> float:
+    """Partial sum k^M(x, y) of the kernel series, ``order`` terms beyond the leading one.
 
-    Forms the coefficients c_0..c_{M+1} again and the achieved gap, the next
-    series term on the x = L row, where ``truncate_order`` locates its maximum.
+    The series alternates for mu > 0 and its terms grow like
+    exp(sqrt(mu (x^2 - y^2) / nu)) before they cancel, so the partial sum
+    loses every digit at large mu > 0; ``Kernel.values``, from the closed
+    form, does not.  A point outside 0 <= y <= x raises InvalidParameterError.
     """
-    order = truncate_order(mu, nu, grid)
-    L2 = grid.length**2
-    q = -mu * L2 / (4.0 * nu)
-    c = 1.0
-    for m in range(1, order + 2):
-        c = c * q / (m * (m + 1))
-    y = grid.nodes
-    prefactor = -(mu * y) / (2.0 * nu)
-    zeta_top = (L2 - y * y) / L2
-    return order, float(np.max(np.abs(prefactor * c * zeta_top ** (order + 1))))
+    check_scalars(nu=nu, mu=mu, positive=("nu",))
+    if order < 0:
+        raise InvalidParameterError(f"truncation order must be >= 0, got {order}")
+    if y < 0 or y > x:
+        raise InvalidParameterError(f"point (x={x}, y={y}) outside the triangle 0 <= y <= x")
+    z = (x - y) * (x + y)
+    q = -mu / (4.0 * nu)
+    term = 1.0
+    total = 1.0
+    for m in range(order):
+        term *= q * z / ((m + 1) * (m + 2))
+        total += term
+    return -(mu * y) / (2.0 * nu) * total
 
 
 def upsilon_projected(kernel: Kernel, basis: ModalBasis) -> np.ndarray:

@@ -372,9 +372,34 @@ class TestMainInProcess:
     def test_kernel_dump(self, tmp_path, capsys):
         rc = main(["kernel-dump", "--mu", "6", "--nx", "60", "--out", str(tmp_path)])
         assert rc == 0
-        assert "series order: 9" in capsys.readouterr().out
+        assert capsys.readouterr().out == ""
         data = np.loadtxt(tmp_path / "kernel.csv", delimiter=",")
         assert data.shape == (60, 61)
+
+    @pytest.mark.parametrize("mu, nu", [(-3e5, 1.0), (1e6, 1e-3)])
+    def test_kernel_dump_where_series_diverges(self, mu, nu, tmp_path):
+        # the series reaches no order within the cap here; the dump never reads it
+        assert main(["kernel-dump", f"--mu={mu}", "--nu", str(nu), "--nx", "50",
+                     "--out", str(tmp_path)]) == 0
+        values = r.kernel_table(r.make_grid(1.0, 50), mu, nu).values
+        assert np.all(np.isfinite(values))
+        lines = (tmp_path / "kernel.csv").read_text().splitlines()
+        assert lines == [",".join("%.17g" % v for v in (x, *row))
+                         for x, row in zip(r.make_grid(1.0, 50).nodes, values)]
+
+    def test_kernel_dump_needs_out_before_numerics(self, capsys):
+        # refused before the table's size check, which this nx would fail
+        assert main(["kernel-dump", "--nx", "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "physical memory" not in err
+
+    def test_scan_brackets_a_zero_not_a_pole(self, capsys):
+        # 1 + a_2 = D_2 / D_1 changes sign where D_1 does; only D_1 vanishes
+        argv = ["scan-admissibility", "--modes", "2", "--mu-min", "1", "--mu-max", "40",
+                "--steps", "20"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["sign change of 1 + a_1 inside (27.684210526315791, 29.736842105263161)"]
 
 
 def readme_exit_codes():
@@ -439,12 +464,14 @@ class TestExitCodes:
             (["experiment", "exp1", "--nx", "100000000000", "--nt", "10"], "nx = 100000000000"),
             (["scan-admissibility", "--mu-min", "1", "--mu-max", "2", "--nx", "100000000000"],
              "nx = 100000000000"),
-            (["kernel-dump", "--nx", "100000000000"], "nx = 100000000000"),
+            (["kernel-dump", "--nx", "100000000000", "--out", "OUT"],
+             "100000000000 x 100000000000 kernel table"),
         ],
         ids=["simulate-nt", "simulate-nx", "experiment", "scan-admissibility", "kernel-dump"],
     )
-    def test_oversized_input_exit_2_before_allocating(self, argv, size, capsys):
+    def test_oversized_input_exit_2_before_allocating(self, argv, size, tmp_path, capsys):
         # refused from the sizes alone: the command allocates no array of them
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
         tracemalloc.start()
         try:
             code = main(argv)
@@ -467,13 +494,18 @@ class TestExitCodes:
             (["design", "--length", "inf", "--rate", "2"], "length"),
             (["design", "--rate", "nan"], "rate"),
             (["design", "--nu", "nan", "--minimal"], "nu"),
-            (["kernel-dump", "--nu", "nan"], "nu"),
+            (["kernel-dump", "--nu", "nan", "--out", "OUT"], "nu"),
             (["scan-admissibility", "--mu-min", "1", "--mu-max", "inf"], "mu_max"),
+            (["scan-admissibility", "--length", "inf", "--mu-min", "1", "--mu-max", "2",
+              "--steps", "3", "--nx", "20"], "length"),
+            (["kernel-dump", "--length", "nan", "--nx", "20", "--out", "OUT"], "length"),
         ],
     )
-    def test_non_finite_design_parameter(self, argv, name, capsys):
-        assert main(argv) == 2
+    def test_non_finite_design_parameter(self, argv, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 2
         assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,15 @@ def test_grid_validation():
         with pytest.raises(InvalidParameterError, match="nx must be an integer"):
             r.make_grid(1.0, nx)
     assert r.make_grid(1.0, np.int64(50)).nx == 50
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan, -math.inf])
+def test_grid_refuses_non_finite_length(length):
+    # dx would be inf or nan, and every scan row NaN
+    with pytest.raises(InvalidParameterError, match="length must be finite and positive"):
+        r.make_grid(length, 20)
+    with pytest.raises(InvalidParameterError, match="length"):
+        r.scan_admissibility(1, length, 1, (1, 2), 3, nx=20)
 
 
 def test_check_vector_shape():

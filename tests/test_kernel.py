@@ -7,12 +7,11 @@ from scipy.special import j1
 
 import oracles
 import rdstab as r
-from rdstab.constants import DEFAULT_KERNEL_TOL
-from rdstab.errors import ConvergenceError, DomainError, DimensionError, InvalidParameterError
+from rdstab.errors import ConvergenceError, DimensionError, InvalidParameterError
 
 
 def closed_form(x, y, mu, nu):
-    """Bessel closed form of the series; independent oracle."""
+    """Bessel closed form of the series, point by point, apart from ``Kernel.values``."""
     z = (mu / nu) * (x * x - y * y)
     if z == 0.0:
         return -mu * y / (2.0 * nu)
@@ -23,7 +22,7 @@ def closed_form(x, y, mu, nu):
 def test_series_matches_bessel_closed_form():
     for mu, nu in ((6.0, 1.0), (15.0, 1.0), (3.0, 0.5)):
         for x, y in ((0.3, 0.1), (0.7, 0.7), (1.0, 0.45), (1.0, 1.0), (0.2, 0.0)):
-            got = r.kernel_series(x, y, mu, nu, 60)
+            got = oracles.kernel_series(x, y, mu, nu, 60)
             assert got == pytest.approx(closed_form(x, y, mu, nu), abs=1e-12)
 
 
@@ -38,16 +37,16 @@ def test_series_longdouble_resummation():
             np.longdouble(math.factorial(m)) * np.longdouble(math.factorial(m + 1))
         )
     expected = float(np.longdouble(-mu * y / (2.0 * nu)) * total)
-    assert r.kernel_series(x, y, mu, nu, 40) == pytest.approx(expected, rel=1e-13)
+    assert oracles.kernel_series(x, y, mu, nu, 40) == pytest.approx(expected, rel=1e-13)
 
 
 def test_series_domain_checks():
-    with pytest.raises(DomainError):
-        r.kernel_series(0.5, 0.6, 6.0, 1.0, 10)
-    with pytest.raises(DomainError):
-        r.kernel_series(0.5, -0.1, 6.0, 1.0, 10)
-    with pytest.raises(InvalidParameterError):
-        r.kernel_series(0.5, 0.2, 6.0, 0.0, 10)
+    with pytest.raises(InvalidParameterError, match="outside the triangle"):
+        oracles.kernel_series(0.5, 0.6, 6.0, 1.0, 10)
+    with pytest.raises(InvalidParameterError, match="outside the triangle"):
+        oracles.kernel_series(0.5, -0.1, 6.0, 1.0, 10)
+    with pytest.raises(InvalidParameterError, match="nu must be positive"):
+        oracles.kernel_series(0.5, 0.2, 6.0, 0.0, 10)
 
 
 def test_truncation_orders_frozen():
@@ -59,15 +58,14 @@ def test_truncation_orders_frozen():
 
 
 def test_truncation_raises_past_cap():
-    # the handle is built; the series raises where it is read, and the table,
-    # formed from the closed form, does not read it
+    # the handle is built; the series raises where its order is read, and the
+    # table, formed from the closed form, does not read it
     g = r.make_grid(1.0, 50)
     kern = r.kernel_table(g, 1e6, 1e-3)
-    for read in ("order", "achieved_delta"):
-        with pytest.raises(ConvergenceError):
-            getattr(kern, read)
     with pytest.raises(ConvergenceError):
-        oracles.kernel_series_two_pass(g, 1e6, 1e-3)
+        kern.order
+    with pytest.raises(ConvergenceError):
+        oracles.truncate_order(1e6, 1e-3, g)
     assert np.all(np.isfinite(kern.values))
     scale = np.max(np.abs(kern.values))
     for i, j in ((49, 0), (49, 20), (30, 29), (10, 3), (49, 49)):
@@ -89,7 +87,7 @@ def test_table_right_at_large_mu(tmp_path):
     assert float(row[0]) == 1.0 and float(row[1 + 200]) == got
 
 
-def test_table_that_overflows_refused():
+def test_table_that_overflows_refused(tmp_path):
     # I_1 grows like e^w / sqrt(w): at mu = -1e6 the table overflows a double,
     # at mu = -3e5 it does not (the series never converges there)
     g = r.make_grid(1.0, 50)
@@ -97,6 +95,10 @@ def test_table_that_overflows_refused():
     with pytest.raises(InvalidParameterError, match=r"mu=-1000000.0, nu=1.0 on length 1.0"):
         kern.values
     assert np.all(np.isfinite(r.kernel_table(g, -3e5, 1.0).values))
+    # the dump forms the table before it writes anything
+    out = tmp_path / "kernel"
+    assert r.cli.main(["kernel-dump", "--mu=-1e6", "--nx", "50", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,14 +109,10 @@ def test_table_that_overflows_refused():
     nx=st.integers(10, 3000),
 )
 def test_one_pass_table_matches_two_pass_oracle(mu, nu, length, nx):
-    # the order decision and the reported gap come from one recurrence; the
-    # oracle finds the order in one loop and forms the coefficients again
+    # the order comes from one recurrence over the coefficients; the oracle
+    # finds it by a loop over the x = L row's terms of its own
     g = r.make_grid(length, nx)
-    order, achieved = oracles.kernel_series_two_pass(g, mu, nu)
-    got = r.kernel_table(g, mu, nu)
-    assert got.order == order
-    assert got.achieved_delta == pytest.approx(achieved, rel=1e-15, abs=0.0)
-    assert got.achieved_delta < DEFAULT_KERNEL_TOL
+    assert r.kernel_table(g, mu, nu).order == oracles.truncate_order(mu, nu, g)
 
 
 def test_table_boundary_conditions_exact(grid200, exp1_kernel, exp2_kernel):
@@ -126,10 +124,6 @@ def test_table_boundary_conditions_exact(grid200, exp1_kernel, exp2_kernel):
 
 def test_table_strictly_lower_triangular(exp1_kernel):
     assert np.all(np.triu(exp1_kernel.values, 1) == 0.0)
-
-
-def test_table_achieved_delta_below_tol(exp1_kernel):
-    assert exp1_kernel.achieved_delta < DEFAULT_KERNEL_TOL
 
 
 def test_pde_residual_second_order(grid200):
@@ -185,18 +179,8 @@ def test_table_matches_series_at_sampled_nodes(mu, nu, length, monkeypatch):
     rows = rng.integers(0, g.nx, 60)
     pairs = [(i, int(rng.integers(0, i + 1))) for i in rows] + [(g.nx - 1, g.nx - 1), (g.nx - 1, 0)]
     for i, j in pairs:
-        expect = r.kernel_series(g.nodes[i], g.nodes[j], mu, nu, kern.order)
+        expect = oracles.kernel_series(g.nodes[i], g.nodes[j], mu, nu, kern.order)
         assert kern.values[i, j] == pytest.approx(expect, rel=1e-13, abs=1e-13 * scale)
-    # the achieved gap is the next series term, largest on the x = L row;
-    # the term is formed with explicit factorials (no cancellation)
-    m = kern.order + 1
-    gap = max(
-        abs(mu * y / (2.0 * nu)) * (abs(mu) / (4.0 * nu) * (g.length**2 - y * y)) ** m
-        / (math.factorial(m) * math.factorial(m + 1))
-        for y in g.nodes
-    )
-    assert kern.achieved_delta == pytest.approx(gap, rel=1e-12)
-    assert kern.achieved_delta < DEFAULT_KERNEL_TOL
 
 
 def test_non_finite_diffusivity_rejected(grid200):
@@ -205,13 +189,13 @@ def test_non_finite_diffusivity_rejected(grid200):
             r.kernel_table(grid200, 6.0, nu)
 
 
-def test_series_formed_only_where_read(monkeypatch, capsys):
-    # the set-up reads only mu, nu and the grid; with the series' formation made
-    # to raise, every design, scan and simulation still runs
+def test_series_formed_only_where_read(monkeypatch, tmp_path):
+    # nothing in the package reads the series: with its order made to raise,
+    # every design, scan, simulation and kernel dump still runs
     def formed(kern):
         raise ConvergenceError("series formed")
 
-    monkeypatch.setattr(r.kernel.Kernel, "_series", property(formed))
+    monkeypatch.setattr(r.kernel.Kernel, "order", property(formed))
     g = r.make_grid(1.0, 60)
     kern = r.kernel_table(g, 15.0, 1.0)
     r.feedback_gain(kern, r.build_transform(kern, 2))
@@ -224,18 +208,14 @@ def test_series_formed_only_where_read(monkeypatch, capsys):
     assert kern.values.shape == (60, 60)
     r.upsilon_matrix(kern)
     r.kernel_pde_residual(kern)
-    # what reads the series still forms it
-    for read in ("order", "achieved_delta"):
-        with pytest.raises(ConvergenceError, match="series formed"):
-            getattr(kern, read)
-    assert r.cli.main(["kernel-dump", "--mu", "6", "--nx", "60"]) == ConvergenceError.exit_code == 4
-    assert "series formed" in capsys.readouterr().err
+    assert r.cli.main(["kernel-dump", "--mu", "6", "--nx", "60", "--out", str(tmp_path)]) == 0
+    assert np.loadtxt(tmp_path / "kernel.csv", delimiter=",").shape == (60, 61)
+    with pytest.raises(ConvergenceError, match="series formed"):
+        kern.order
 
 
 def test_series_formed_once():
     kern = r.kernel_table(r.make_grid(1.0, 200), 6.0, 1.0)
     assert vars(kern) == {"mu": 6.0, "nu": 1.0, "grid": kern.grid}
     assert kern.order == 9
-    series = vars(kern)["_series"]
-    assert kern.achieved_delta == series[1]
-    assert vars(kern)["_series"] is series
+    assert vars(kern) == {"mu": 6.0, "nu": 1.0, "grid": kern.grid, "order": 9}

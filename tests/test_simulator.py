@@ -102,7 +102,7 @@ class TestConfig:
         c = cfg(nx=10**7, nt=10**7, alpha=12.0, mu=6.0, dynamics=dynamics)
         c.validate()
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            check_run_fits(c.nx, c.n_modes, c.nt, history=True)
+            check_run_fits(c.nx, c.n_modes, c.nt, histories=1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
             r.run_simulation(c)
 
@@ -112,10 +112,10 @@ class TestConfig:
         c = cfg(nx=10**6, nt=10, mu=6.0, dynamics="closed_loop")
         states = 8 * c.nt * c.nx
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states + 4 * c.nx**2)
-        check_run_fits(c.nx, c.n_modes, c.nt, history=True)
+        check_run_fits(c.nx, c.n_modes, c.nt, histories=1)
         monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: states - 1)
         with pytest.raises(InvalidParameterError, match="physical memory"):
-            check_run_fits(c.nx, c.n_modes, c.nt, history=True)
+            check_run_fits(c.nx, c.n_modes, c.nt, histories=1)
 
     def test_history_counts_only_where_kept(self, monkeypatch):
         # nt = 400 levels, so that the history outweighs the records and the
@@ -131,7 +131,7 @@ class TestConfig:
             raise ValueError(f"unrecognized configuration name {name!r}")
 
         monkeypatch.setattr(rdstab.errors.os, "sysconf", unsupported)
-        check_run_fits(10**7, 1, 10**7, history=True)
+        check_run_fits(10**7, 1, 10**7, histories=1)
 
 
 class TestInitialState:
@@ -937,6 +937,31 @@ class TestTargetConsistency:
                 dynamics="closed_loop", u0="exp1")
         r.run_target_consistency(c)
         assert len(calls) == 1
+
+    def test_refused_where_its_arrays_exceed_memory(self, monkeypatch):
+        # memory for two (nt, nx) arrays, not the three it holds: refused
+        # before either march starts
+        c = cfg(alpha=12.0, mu=6.0, dynamics="closed_loop", nt=400)
+        two = 8 * (5 * c.nt + c.nx * (8 * c.n_modes + 32) + 2 * c.nt * c.nx)
+        monkeypatch.setattr(rdstab.errors, "_physical_memory", lambda: two)
+        marches = []
+        monkeypatch.setattr(rdstab.simulator, "_march", lambda *a, **k: marches.append(a))
+        with pytest.raises(InvalidParameterError, match="physical memory"):
+            r.run_target_consistency(c)
+        assert marches == []
+
+    def test_peak_memory_within_its_count(self, monkeypatch):
+        c = cfg(alpha=12.0, mu=6.0, dynamics="closed_loop", u0="exp1", nx=400, nt=400)
+        counted = []
+        monkeypatch.setattr(rdstab.errors, "check_fits", lambda need, what: counted.append(need))
+        r.run_target_consistency(replace(c, nx=40, nt=40))  # lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            r.run_target_consistency(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[-1]
 
     def test_rejects_nonlinear_and_zero_state(self):
         with pytest.raises(InvalidParameterError):

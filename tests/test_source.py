@@ -74,3 +74,50 @@ def test_unread_private_names_found():
 def test_package_reads_every_private_name():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unraised_errors(errors_source: str, sources: list) -> list:
+    """Classes of ``errors_source``'s ``__all__`` that no source raises, nor any subclass of them.
+
+    A class counts as raised where a ``raise`` names it, called or bare,
+    and then so does every base it has in ``errors_source``.
+    """
+    tree = ast.parse(errors_source)
+    exported = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    pending = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                pending.append(name)
+    raised = set()
+    while pending:
+        name = pending.pop()
+        if name not in raised:
+            raised.add(name)
+            pending.extend(bases.get(name, []))
+    return sorted(set(exported) - raised)
+
+
+def test_unraised_errors_found():
+    errors = (
+        '__all__ = ["Base", "Used", "Child", "Dead"]\n'
+        "class Base(Exception): pass\nclass Used(Base): pass\n"
+        "class Child(Used): pass\nclass Dead(Base): pass\n"
+    )
+    user = "from errors import Child\nimport errors\ndef f():\n    raise Child('x')\n"
+    assert unraised_errors(errors, [user]) == ["Dead"]
+    assert unraised_errors(errors, [user, "raise errors.Dead\n"]) == []
+
+
+def test_package_raises_every_error_class():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert unraised_errors((SRC / "errors.py").read_text(), sources) == []

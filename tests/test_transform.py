@@ -199,6 +199,28 @@ def test_scan_brackets_sign_change():
     assert 25.0 <= lo < hi <= 35.0
 
 
+TENS = (10.0,) * 399  # their product, 1e399, overflows a double
+
+
+@pytest.mark.parametrize(
+    "pivots, expect",
+    [
+        # 1 + a_1 and 1 + a_2 both flip, but D_2 = (1 + a_1)(1 + a_2) keeps its sign
+        (((0.5, 2.0), (-0.5, -2.0)), [(1, 0.0, 1.0)]),
+        (((0.5, 1.0), (0.5, -1.0), (0.4, -1.5)), [(2, 0.0, 1.0)]),
+        # signs, not products: D_400 flips at the first pair; the pairs with a NaN row are skipped
+        (((*TENS, 1.0), (*TENS, -1.0), (math.nan,) * 400, (*TENS, 1.0)), [(400, 0.0, 1.0)]),
+        (((0.5,),), []),
+    ],
+    ids=["pole", "zero", "no-overflow-nan-skipped", "one-row"],
+)
+def test_brackets_hold_zeros_of_the_leading_minors(pivots, expect):
+    # hand-built rows at mu = 0, 1, ... whose 1 + a_j are ``pivots``
+    rows = [r.ScanRow(mu=float(n), scalars=tuple(p - 1.0 for p in row), admissible=True)
+            for n, row in enumerate(pivots)]
+    assert r.sign_change_brackets(rows) == expect
+
+
 def test_scan_marks_inadmissible_row_with_nan(a1_root):
     # scan straddling a root of 1 + a_1(mu) with N = 2: the a_2 entry of the
     # inadmissible row cannot be computed
