@@ -17,14 +17,17 @@ With C = I + dt/2 A and these constraint rows, a linear step is
 u^{n+1} = C^{-1} b - u^n, where b is 2 u^n (plus the forcing) on the interior
 rows and C u^n on the constraint rows, so no product with C is formed.
 The nonlinear model adds -(dt/2)[(u^{n+1})^3 + (u^n)^3] to the interior
-balance and resolves each step by Newton's method on the same operator.
-After the first update, the residual is updated from the correction du (its
-product with the Newton matrix and the exact cubic remainder), so its
-rounding falls with du; formed again from C u it would round at
-eps ||C|| |u|.  A step stops when max|du| <= newton_tol, or one solve earlier
-when a certified bound shows that the next correction would be at most
-newton_tol: the residual is at hand, and ||C^{-1}||_inf is bounded once per
-run from the M-matrix tridiagonal core and the Woodbury factors.
+balance and resolves each step by Newton's method on the same operator,
+starting from the linear step with the cubic taken explicitly (an IMEX
+predictor): one solve with the factored core, whose residual is only the
+change in the cubic.  After that, the residual is updated from each
+correction du (its product with the Newton matrix and the exact cubic
+remainder), so its rounding falls with du; formed again from C u it would
+round at eps ||C|| |u|.  A step stops when max|du| <= newton_tol, or one
+solve earlier when a certified bound shows that the next correction would be
+at most newton_tol: the residual is at hand, and ||C^{-1}||_inf is bounded
+once per run from the M-matrix tridiagonal core and the Woodbury factors.
+A predictor that the bound accepts ends the step with no Newton solve.
 
 The operator is a tridiagonal core plus a low-rank term of rank k <= N: the
 rank-one gain row in the closed loop, mu*P_N in the target.  Every solve goes
@@ -158,8 +161,8 @@ class Trajectory:
     the closed loop).  The boundary law is implicit, so ``states[n, -1]`` equals it
     to rounding for n >= 1; the initial state need not satisfy it.
     ``newton_iters[n]`` counts the Newton solves that produced level n (zero
-    for linear runs and at n = 0); a step that the certified bound stops
-    after its first update takes one.
+    for linear runs and at n = 0); a step whose predictor the certified bound
+    accepts takes none.
     """
 
     times: np.ndarray
@@ -364,11 +367,15 @@ class _Stepper:
         b = 2.0 * u
         if forcing is not None:
             b += forcing
-        b[0] = u[0]
-        b[-1] = u[-1] if self.gain is None else u[-1] - np.dot(self.gain, u)
-        y = self.solve(b)
+        y = self.solve(self.constrain(b, u))
         y -= u
         return y
+
+    def constrain(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Put C u's constraint rows (u_0, and u_L - g(u) or u_L) into b in place and return it."""
+        b[0] = u[0]
+        b[-1] = u[-1] if self.gain is None else u[-1] - np.dot(self.gain, u)
+        return b
 
     def solve(self, rhs: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve (C + diag(shift)) x = rhs, leaving rhs as it is; the constraint rows ignore shift."""
@@ -495,14 +502,19 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
 def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: int):
     """Newton iteration for C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior rows.
 
-    The constraint rows u'_0 = 0 and u'_L = g(u') are linear and part of C, so
-    they hold after the first update.  Only the first residual is formed from
-    C u: an update du from v, solved from (C + J) du = F with J = 1.5 dt v^2,
-    leaves F - (C + J) du - (dt/2) du^2 (3v + du) (the last two terms on the
-    interior rows), whose rounding, eps ||C||_inf max|du|, falls with du.  One
-    formed from C u' would round at eps ||C||_inf max|u'|, which can keep
-    max|du| above newton_tol when nu dt / dx^2 is large.  An update is
-    accepted when its own max|du| <= newton_tol, or when
+    It starts from the predictor v = w - u, w = C^{-1} b, where b is
+    2u - dt u^3 on the interior rows and C u's constraint rows: the linear
+    step with the cubic explicit, so v keeps u'_0 = 0 and u'_L = g(u'), which
+    are linear and part of C.  Its residual is (b - C w) + (dt/2)(u^3 - v^3)
+    on the interior rows; the first term carries the solve's rounding into
+    the first correction.  When ``_next_correction_bound`` certifies that this
+    correction would be at most newton_tol, v is returned with no solve.
+    Otherwise an update du from v, solved from (C + J) du = F with
+    J = 1.5 dt v^2, leaves F - (C + J) du - (dt/2) du^2 (3v + du) (the last
+    two terms on the interior rows), whose rounding, eps ||C||_inf max|du|,
+    falls with du.  One formed from C u' would round at eps ||C||_inf max|u'|,
+    which can keep max|du| above newton_tol when nu dt / dx^2 is large.  An
+    update is accepted when its own max|du| <= newton_tol, or when
     ``_next_correction_bound`` certifies that the following correction would
     be at most newton_tol; that saves the confirming solve, and the accepted
     iterate then lies within newton_tol of the one the |du| test alone would
@@ -512,10 +524,14 @@ def _newton_step(stepper: _Stepper, u: np.ndarray, config: SimulationConfig, n: 
     """
     dt = config.dt
     tol = config.newton_tol
-    Cu = stepper.matvec(u)
     cube = 0.5 * dt * (u * u * u)
-    F = _interior(2.0 * u - Cu - cube) - Cu - _interior(cube)  # the residual at u' = u
-    up, up2 = u, u * u
+    b = stepper.constrain(2.0 * u - 2.0 * cube, u)
+    w = stepper.solve(b)
+    up = w - u  # the predictor
+    up2 = up * up
+    F = b - stepper.matvec(w) + _interior(cube - 0.5 * dt * (up2 * up))  # the residual at up
+    if _next_correction_bound(stepper.inv_bound, F, up2, dt) <= tol:
+        return up, 0
     history = []
     for p in range(config.newton_max_iter):
         shift = 1.5 * dt * up2

@@ -8,6 +8,7 @@ modes on the grid.  P has rank N and is applied in that factored form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,8 +31,8 @@ def eigenvalue(j: int, length: float) -> float:
     """Dirichlet eigenvalue lambda_j = (j pi / L)^2."""
     if j < 1:
         raise InvalidParameterError(f"mode index must be >= 1, got {j}")
-    if length <= 0:
-        raise InvalidParameterError(f"domain length must be positive, got {length}")
+    if not 0.0 < length < math.inf:
+        raise InvalidParameterError(f"domain length must be finite and positive, got {length}")
     return (j * np.pi / length) ** 2
 
 

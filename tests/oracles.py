@@ -7,7 +7,8 @@ so a test can check the structured path against the plain one.
 law as its last row, and ``dense_newton_step`` resolves one step of the cubic
 model on it by Newton's method with dense solves.  ``newton_step_tol`` is the
 marcher's Newton loop with the plain max|du| <= newton_tol stop and no
-certified early stop.
+certified early stop.  ``reference_march`` marches the cubic plant in
+``np.longdouble`` with Thomas solves, the accuracy reference of the march.
 ``phi_recursion`` is the paper's recursion run on the nx x N factor X of
 Phi_j = X (dx W_j^T), level by level in O(nx N^3), apart from the N x N
 elimination of ``rdstab.transform``.  ``phi_apply_recursive`` applies Phi_N by
@@ -44,7 +45,7 @@ from rdstab.errors import (
 from rdstab.controller import feedback_gain
 from rdstab.grid import Grid, laplacian_matrix, make_grid, trapezoid_weights
 from rdstab.kernel import Kernel, kernel_table as rd_kernel_table
-from rdstab.simulator import DYNAMICS_MODES, SimulationConfig, _interior
+from rdstab.simulator import DYNAMICS_MODES, SimulationConfig, _interior, initial_state
 from rdstab.spectral import ModalBasis, ProjectionMatrix
 from rdstab.transform import TransformSet, build_transform
 
@@ -114,12 +115,17 @@ def dense_newton_step(C: np.ndarray, u: np.ndarray, config: SimulationConfig):
 
 
 def newton_step_tol(stepper, u: np.ndarray, config: SimulationConfig, n: int):
-    """Newton loop of ``rdstab.simulator._newton_step`` with the max|du| <= newton_tol stop alone."""
+    """Newton loop of ``rdstab.simulator._newton_step`` with the max|du| <= newton_tol stop alone.
+
+    It starts from the same predictor, the linear step with the cubic explicit,
+    and takes at least one solve from it.
+    """
     dt = config.dt
-    Cu = stepper.matvec(u)
     cube = 0.5 * dt * (u * u * u)
-    F = _interior(2.0 * u - Cu - cube) - Cu - _interior(cube)
-    up = u
+    b = stepper.constrain(2.0 * u - 2.0 * cube, u)
+    w = stepper.solve(b)
+    up = w - u
+    F = b - stepper.matvec(w) + _interior(cube - 0.5 * dt * (up * up * up))
     history = []
     for p in range(config.newton_max_iter):
         shift = 1.5 * dt * (up * up)
@@ -133,6 +139,84 @@ def newton_step_tol(stepper, u: np.ndarray, config: SimulationConfig, n: int):
             return up, p + 1
         F -= stepper.matvec(du) + _interior(shift * du + 0.5 * dt * (du * du * (3.0 * prev + du)))
     raise NewtonDivergenceError(n, history)
+
+
+def reference_march(config: SimulationConfig, gain: Optional[np.ndarray]) -> np.ndarray:
+    """The (nt, nx) levels of the cubic model's Crank-Nicolson march in np.longdouble.
+
+    Each level solves C u' + dt/2 u'^3 = 2u - C u - dt/2 u^3 on the interior
+    rows, with u'_0 = 0 and u'_L = g(u') for a ``gain`` (else u'_L = 0), by
+    Newton's method from u' = u until max|du| <= 1e-14 max(1, max|u'|), and
+    then one more update.  Each Newton solve is Thomas's algorithm on the
+    tridiagonal part plus Sherman-Morrison for the gain row.  Only u0 and the
+    gain come in as doubles; every coefficient, residual and sweep is formed
+    in extended precision.  The sweeps are pure Python: about 1 s at nx = nt = 400.
+    """
+    if config.model != "nonlinear" or config.dynamics == "target":
+        raise InvalidParameterError("the reference marches the cubic plant, open or closed loop")
+    ld = np.longdouble
+    grid = make_grid(config.length, config.nx)
+    u = np.array(initial_state(config, grid), dtype=ld)
+    g = None if gain is None else np.array(gain, dtype=ld)
+    dx = ld(config.length) / (config.nx - 1)
+    h = ld(config.tmax) / (config.nt - 1) / 2
+    off = -h * ld(config.nu) / (dx * dx)
+    diag = 1 + h * (2 * ld(config.nu) / (dx * dx) - ld(config.alpha))
+    e_L = np.zeros(config.nx, dtype=ld)
+    e_L[-1] = 1
+
+    def matvec(v):
+        out = v.copy()
+        out[1:-1] = diag * v[1:-1] + off * (v[:-2] + v[2:])
+        if g is not None:
+            out[-1] -= np.dot(g, v)
+        return out
+
+    levels = [u]
+    for n in range(config.nt - 1):
+        B = 2 * u - matvec(u) - h * u**3
+        B[0] = B[-1] = 0
+        v, last = u.copy(), False
+        for _ in range(60):
+            F = B - matvec(v)
+            F[1:-1] -= h * v[1:-1] ** 3
+            y, z = _thomas(diag + 3 * h * v[1:-1] ** 2, off, F, e_L)
+            du = y if g is None else y + z * (np.dot(g, y) / (1 - np.dot(g, z)))
+            v = v + du
+            if last:
+                break
+            last = np.abs(du).max() <= 1e-14 * max(1, np.abs(v).max())
+        else:
+            raise NewtonDivergenceError(n, [])
+        levels.append(v)
+        u = v
+    return np.array(levels)
+
+
+def _thomas(d: np.ndarray, off, *rhs: np.ndarray):
+    """Solve T x = r for each r in ``rhs`` by Thomas's algorithm, in the dtype of ``d``.
+
+    T has identity first and last rows, and off x_{i-1} + d_i x_i + off x_{i+1}
+    on interior row i, with ``d`` the nx - 2 interior diagonal entries.
+    """
+    m = len(d)
+    pivots = [d[0]]
+    for i in range(1, m):
+        pivots.append(d[i] - off * off / pivots[i - 1])
+    out = []
+    for r in rhs:
+        x = r.copy()
+        x[1] -= off * r[0]
+        x[-2] -= off * r[-1]
+        y = list(x[1:-1])
+        for i in range(1, m):
+            y[i] -= off / pivots[i - 1] * y[i - 1]
+        y[-1] /= pivots[-1]
+        for i in range(m - 2, -1, -1):
+            y[i] = (y[i] - off * y[i + 1]) / pivots[i]
+        x[1:-1] = y
+        out.append(x)
+    return out
 
 
 def phi_recursion(UW: np.ndarray, basis: ModalBasis):

@@ -19,7 +19,13 @@ from rdstab.errors import (
     check_run_fits,
 )
 from rdstab.simulator import DYNAMICS_MODES
-from oracles import assemble_A, closed_loop_matrix, dense_newton_step, newton_step_tol
+from oracles import (
+    assemble_A,
+    closed_loop_matrix,
+    dense_newton_step,
+    newton_step_tol,
+    reference_march,
+)
 
 
 def cfg(**kw):
@@ -323,10 +329,11 @@ class TestStepNonlinear:
     def linear_step(self, u):
         return np.linalg.solve(self.C, rdstab.simulator._interior(2.0 * u - self.C @ u))
 
-    def test_zero_state_one_iteration(self):
+    def test_zero_state_takes_no_solve(self):
+        # the predictor is exact at u = 0, and the certified bound accepts it
         out, iters = self.step(np.zeros(60))
         assert np.all(out == 0.0)
-        assert iters == 1
+        assert iters == 0
 
     def test_small_amplitude_matches_linear(self):
         u0 = 1e-4 * math.sqrt(2.0) * np.sin(np.pi * self.g.nodes)
@@ -540,7 +547,8 @@ class TestRunSimulation:
         # the boundary law is implicit: every level after the first satisfies u_L = g(u)
         assert np.max(np.abs(traj.controls[1:] - traj.states[1:, -1])) < 1e-12
         assert np.any(traj.controls != 0.0)
-        assert np.all(traj.newton_iters[1:] >= 1)
+        # so the law holds on a level that the predictor alone produced
+        assert np.any(traj.newton_iters[1:] == 0)
         assert traj.newton_iters[0] == 0
 
     @pytest.mark.parametrize("model", ["linear", "nonlinear"])
@@ -903,6 +911,71 @@ class TestCertifiedNewtonStop:
     def test_linear_runs_skip_the_bound(self):
         stepper = rdstab.simulator._Stepper(*_stepper_case("closed_loop"))
         assert stepper.inv_bound == math.inf
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    preset=st.sampled_from(["exp2", "exp2_uncontrolled"]),
+    level=st.integers(0, 198),
+    amp=st.floats(-3.0, 3.0),
+)
+@example(preset="exp2", level=198, amp=1.0)
+@example(preset="exp2", level=150, amp=-0.5)
+@example(preset="exp2_uncontrolled", level=10, amp=0.01)
+def test_accepted_predictor_meets_the_certificate(exp2_runs, preset, level, amp):
+    # a step that takes no solve returns the predictor; its true residual, formed
+    # densely in extended precision, must pass the same certificate
+    c, stepper, states, _ = exp2_runs[preset]
+    u = amp * states[level]
+    got, iters = rdstab.simulator._newton_step(stepper, u, c, level)
+    if iters > 0:
+        return
+    g = r.make_grid(c.length, c.nx)
+    C = closed_loop_matrix(c, g, None, stepper.gain).astype(np.longdouble)
+    h = np.longdouble(0.5 * c.dt)
+    u, v = u.astype(np.longdouble), got.astype(np.longdouble)
+    F = rdstab.simulator._interior(2 * u - C @ u - h * u**3) - C @ v
+    F[1:-1] -= h * v[1:-1] ** 3
+    bound = rdstab.simulator._next_correction_bound(stepper.inv_bound, F.astype(float),
+                                                    got**2, c.dt)
+    assert bound <= 2.0 * c.newton_tol
+
+
+class TestPredictor:
+    """Each Newton step starts from the linear step with the cubic explicit."""
+
+    @pytest.mark.parametrize("preset", ["exp2", "exp2_uncontrolled"])
+    def test_march_matches_extended_precision_reference(self, preset):
+        c = r.SimulationConfig(nx=100, nt=100, **EXPERIMENT_PRESETS[preset])
+        g = r.make_grid(c.length, c.nx)
+        gain = rdstab.simulator._feedback_row(c, g) if c.dynamics == "closed_loop" else None
+        ref = reference_march(c, gain)
+        traj = r.run_simulation(c)
+        err = r.l2_norm(np.asarray(traj.states - ref, dtype=float), g)
+        assert err.max() <= 1e-10
+
+    @pytest.mark.parametrize("preset", ["exp2", "exp2_uncontrolled"])
+    def test_one_core_solve_per_step_and_one_ptsv_per_newton_solve(self, monkeypatch, preset):
+        calls = {"dpttrs": 0, "dptsv": 0}
+        for routine in calls:
+            real = getattr(rdstab.simulator, routine)
+
+            def counted(*args, _real=real, _name=routine, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            counted.__name__ = routine
+            monkeypatch.setattr(rdstab.simulator, routine, counted)
+        c = r.SimulationConfig(nx=200, nt=200, **EXPERIMENT_PRESETS[preset])
+        g = r.make_grid(c.length, c.nx)
+        gain = rdstab.simulator._feedback_row(c, g) if c.dynamics == "closed_loop" else None
+        rdstab.simulator._Stepper(c, g, None, gain)
+        set_up = calls["dpttrs"]
+        assert set_up == (3 if gain is not None else 1) and calls["dptsv"] == 0
+        calls["dpttrs"] = 0
+        traj = r.run_simulation(c, full_state=False)
+        assert calls["dpttrs"] == set_up + c.nt - 1
+        assert calls["dptsv"] == traj.newton_iters.sum()
 
 
 class TestTargetConsistency:

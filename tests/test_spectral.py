@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ def test_eigenvalue_formula():
         r.eigenvalue(0, 1.0)
     with pytest.raises(InvalidParameterError):
         r.eigenvalue(1, 0.0)
+
+
+@pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan])
+def test_eigenvalue_refuses_non_finite_length(length):
+    # inf gave 0.0 and nan gave nan
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
+        r.eigenvalue(1, length)
 
 
 def test_modes_discretely_orthonormal(grid200):
