@@ -34,6 +34,7 @@ from .errors import (
     InadmissiblePairError,
     InfeasibleRateError,
     InvalidParameterError,
+    check_integers,
     check_scalars,
 )
 from .grid import make_grid
@@ -61,8 +62,14 @@ __all__ = [
 RETRY_FACTORS = (1.0, 1.05, 0.95, 1.10, 0.90, 1.15)
 
 
-def _check_coeffs(nu: float, alpha: float, length: float) -> None:
-    check_scalars(nu=nu, alpha=alpha, length=length, positive=("nu", "length"))
+def _check_coeffs(nu: float, alpha: float, length: float, **more: float) -> None:
+    check_scalars(nu=nu, alpha=alpha, length=length, positive=("nu", "length"), **more)
+
+
+def _check_modes(n_modes: int) -> None:
+    check_integers(n_modes=n_modes)
+    if n_modes < 1:
+        raise InvalidParameterError(f"need at least one mode, got {n_modes}")
 
 
 def gamma_rate(nu: float, alpha: float, mu: float, n_modes: int, length: float = 1.0) -> float:
@@ -70,18 +77,16 @@ def gamma_rate(nu: float, alpha: float, mu: float, n_modes: int, length: float =
 
     A negative return means the chosen (mu, N) does not stabilize.
     """
-    _check_coeffs(nu, alpha, length)
-    if n_modes < 1:
-        raise InvalidParameterError(f"need at least one mode, got {n_modes}")
+    _check_coeffs(nu, alpha, length, mu=mu)
+    _check_modes(n_modes)
     lam1 = eigenvalue(1, length)
     return nu * lam1 - alpha + mu * (1.0 - 1.0 / (n_modes + 1))
 
 
 def rho_rate(nu: float, alpha: float, mu: float, n_modes: int, length: float = 1.0) -> float:
     """Decay rate of the minimal-mode design: nu*lam1 - alpha + (mu/2)(1 - 1/(N+1)^2)."""
-    _check_coeffs(nu, alpha, length)
-    if n_modes < 1:
-        raise InvalidParameterError(f"need at least one mode, got {n_modes}")
+    _check_coeffs(nu, alpha, length, mu=mu)
+    _check_modes(n_modes)
     lam1 = eigenvalue(1, length)
     return nu * lam1 - alpha + 0.5 * mu * (1.0 - 1.0 / (n_modes + 1) ** 2)
 
@@ -92,7 +97,7 @@ def min_modes_rapid(nu: float, alpha: float, mu: float, length: float = 1.0) -> 
     The condition is N > max{mu/(2 nu lam1) - 1, mu/(mu + nu lam1 - alpha) - 1},
     floored at 1.  The second expression requires mu > alpha - nu lam1.
     """
-    _check_coeffs(nu, alpha, length)
+    _check_coeffs(nu, alpha, length, mu=mu)
     if mu < 0:
         raise InvalidParameterError(f"negative feedback gain {mu}")
     lam1 = eigenvalue(1, length)
@@ -192,6 +197,7 @@ def smallness_threshold(
         raise InvalidParameterError(f"derivative order must be 0 or 1, got {deriv_order}")
     if not (0.0 < d < 1.0):
         raise InvalidParameterError(f"margin d must lie in (0, 1), got {d}")
+    check_scalars(c0=c0, c1=c1, norm_tinv=norm_tinv)
     if c0 <= 0 or c1 <= 0 or norm_tinv <= 0:
         raise InvalidParameterError("operator-norm constants must be positive")
     gamma = gamma_rate(nu, alpha, mu, n_modes, length)
@@ -215,6 +221,7 @@ def c1_constant(norms, c_star: float = GN_CONSTANT_DEFAULT) -> float:
     c* is the interpolation-inequality constant; it is configuration, not
     computed, and defaults to 1 (reported bounds are parametric in it).
     """
+    check_scalars(c_star=c_star)
     if c_star <= 0:
         raise InvalidParameterError(f"interpolation constant must be positive, got {c_star}")
     return c_star * norms.normT_h1 * norms.normT_l2 ** 2
@@ -227,6 +234,7 @@ def bernoulli_envelope(a: float, b: float, d: float, y0: float, t):
     dominates the solution iff y0 <= d*sqrt(a/b); otherwise ``admissible``
     is False and the bound carries no guarantee.
     """
+    check_scalars(a=a, b=b, y0=y0)
     if a <= 0 or b <= 0:
         raise InvalidParameterError(f"need positive coefficients, got a={a}, b={b}")
     if not (0.0 < d < 1.0):
@@ -379,8 +387,7 @@ def design_fixed(
     smallness bound is attached only when gamma > 0.
     """
     _check_coeffs(nu, alpha, length)
-    if n_modes < 1:
-        raise InvalidParameterError(f"need at least one mode, got {n_modes}")
+    _check_modes(n_modes)
     return _design(nu, alpha, length, nx, [(mu, n_modes)], "fixed", smallness)
 
 

@@ -126,12 +126,12 @@ def check_integers(**values: int) -> None:
 
 def check_scalars(positive=(), **values: float) -> None:
     """Reject values that are not real numbers (bools included) or not finite,
-    and non-positive ones among ``positive``.
+    and non-positive ones among ``positive``; a plain float skips the type checks.
 
     Raises :class:`InvalidParameterError` naming the first offending value.
     """
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value}")

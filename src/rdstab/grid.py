@@ -2,6 +2,7 @@
 
 The whole package works on one uniform grid x_i = (i - 1) * dx with
 dx = L / (N_x - 1), matching the discretization every other module builds on.
+``h1_norm`` takes the march's ``l2_norm`` of a block, so each block makes one l2 pass.
 """
 
 from __future__ import annotations
@@ -118,19 +119,22 @@ def l2_norm(values: np.ndarray, grid: Grid):
     return float(out[0]) if values.ndim == 1 else out
 
 
-def h1_norm(values: np.ndarray, grid: Grid):
+def h1_norm(values: np.ndarray, grid: Grid, l2=None):
     """Discrete H1 norm: L2 part plus forward-difference derivative part.
 
     The derivative part is dx * sum_i ((v_{i+1} - v_i)/dx)^2, the cheapest
     consistent realization of the continuum seminorm.  A float for one
-    vector; an array of row norms for a (k, nx) stack.  A row whose squares
-    overflow or underflow is rescaled (see :func:`_rescale`).
+    vector; an array of row norms for a (k, nx) stack.  ``l2``, the caller's
+    :func:`l2_norm` of ``values``, spares that pass with the same bits.  A
+    row whose squares overflow or underflow is rescaled (see :func:`_rescale`).
     """
     values = grid.check_stack(values)
+    if l2 is None:
+        l2 = l2_norm(values, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below; inf - inf is nan
         diff = np.diff(np.atleast_2d(values), axis=-1)
         semi = np.einsum("ij,ij->i", diff, diff)
-        out = np.sqrt(np.square(l2_norm(values, grid)) + semi / grid.dx)
+        out = np.sqrt(np.square(l2) + semi / grid.dx)
     out = _rescale(out, values, lambda v: h1_norm(v, grid))
     return float(out[0]) if values.ndim == 1 else out
 

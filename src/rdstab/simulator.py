@@ -463,7 +463,7 @@ def _march(config: SimulationConfig, grid: Grid, u0: np.ndarray,
         start = done % ring.shape[0]
         rows = ring[start:start + end - done]
         l2[done:end] = l2_norm(rows, grid)
-        h1[done:end] = h1_norm(rows, grid)
+        h1[done:end] = h1_norm(rows, grid, l2[done:end])
         if gain is not None:
             controls[done:end] = np.einsum("ij,j->i", rows, gain)
         done = end

@@ -30,9 +30,11 @@ O(steps N^3) to eliminate, and touches nothing of size nx per sample; its
 a_j agree with the build's to rounding.
 One elimination (``_pivots``), of one M or of a stack, serves both: the
 build raises at the first inadmissible a_j, the scan reports it.
-``upsilon_matrix``, the dense trapezoidal Upsilon read from the kernel
-table, is the one dense reference kept here; it converges to the closed
-form at second order in dx.
+``operator_norms`` stacks its four (operator, metric) pairs for one QR and
+one SVD call; ``dpbtrf`` and ``dpbtrs`` factor and solve its H1 Gram matrix.
+``upsilon_matrix``, the dense trapezoidal Upsilon read from the kernel table,
+is the one dense reference kept here; it converges to the closed form at
+second order in dx.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .constants import ADMISSIBILITY_FLOOR, INVERSE_TOL
 from .errors import (
@@ -360,23 +362,12 @@ class OperatorNorms:
     normT_h1: float
 
 
-def _rank_n_opnorm(A: np.ndarray, B: np.ndarray) -> float:
-    """Spectral norm of I + A B^T for nx x N factors, through the QR of [A, B].
-
-    With [A, B] = Q [Ra, Rb] the operator is I + Ra Rb^T on the range of Q
-    and the identity on its complement, which is nonempty since 2N < nx.
-    """
-    n_modes = A.shape[1]
-    R = np.linalg.qr(np.hstack([A, B]), mode="r")
-    small = np.eye(2 * n_modes) + R[:, :n_modes] @ R[:, n_modes:].T
-    return max(1.0, float(np.linalg.svd(small, compute_uv=False)[0]))
-
-
 def _h1_factor(grid: Grid) -> np.ndarray:
-    """Upper banded Cholesky factor U of the H1 Gram matrix S = U^T U.
+    """Upper banded Cholesky factor U of the H1 Gram matrix S = U^T U, by ``dpbtrf``.
 
-    S = diag(wq) + dx D^T D, with D the forward difference divided by dx,
-    is tridiagonal: off-diagonal -1/dx, diagonal wq + (1, 2, ..., 2, 1)/dx.
+    S = diag(wq) + dx D^T D, with D the forward difference divided by dx, is
+    tridiagonal (off-diagonal -1/dx, diagonal wq + (1, 2, ..., 2, 1)/dx) and,
+    as wq > 0, positive definite; a nonzero ``info`` raises SolverError.
     """
     n = grid.nx
     ab = np.empty((2, n))
@@ -384,7 +375,10 @@ def _h1_factor(grid: Grid) -> np.ndarray:
     ab[1] = 2.0 / grid.dx
     ab[1, [0, -1]] = 1.0 / grid.dx
     ab[1] += trapezoid_weights(grid)
-    return scipy.linalg.cholesky_banded(ab)
+    U, info = dpbtrf(ab)
+    if info != 0:
+        raise SolverError(f"LAPACK dpbtrf returned info = {info} on the H1 Gram matrix")
+    return U
 
 
 def operator_norms(tset: TransformSet) -> OperatorNorms:
@@ -392,23 +386,33 @@ def operator_norms(tset: TransformSet) -> OperatorNorms:
 
     Both operators are I + A B^T with B = dx W.  In a metric ||v|| = ||F v||
     the norm is that of I + (F A)(F^-T B)^T: F = diag(sqrt(wq)) for L2 and
-    the Cholesky factor U of the H1 Gram matrix, with U^-T B = U S^-1 B.
+    the Cholesky factor U of the H1 Gram matrix, with U^-T B = U S^-1 B
+    (``dpbtrs``).  With [F A, F^-T B] = Q [Ra, Rb] that is I + Ra Rb^T on the
+    range of Q and I on its complement, nonempty as 2N < nx: max(1, sigma_1).
+    The four (A, F) pairs form one (4, nx, 2N) stack: one QR and one SVD call.
     """
     g = tset.grid
+    n = tset.n_modes
     s = np.sqrt(trapezoid_weights(g))[:, None]
     U = _h1_factor(g)
 
-    def upper(M):
+    def upper(M):  # U M, for one nx x N matrix or a stack of them
         out = U[1][:, None] * M
-        out[:-1] += U[0, 1:, None] * M[1:]
+        out[..., :-1, :] += U[0, 1:, None] * M[..., 1:, :]
         return out
 
     B = g.dx * tset.basis.W
-    B_h1 = upper(scipy.linalg.cho_solve_banded((U, False), B))
-
-    def l2_h1(A):
-        return _rank_n_opnorm(s * A, B / s), _rank_n_opnorm(upper(A), B_h1)
-
-    c0, normTinv_h1 = l2_h1(-tset.X)
-    normT_l2, normT_h1 = l2_h1(tset.UW)
+    S_inv_B, info = dpbtrs(U, B)
+    if info != 0:
+        raise SolverError(f"LAPACK dpbtrs returned info = {info} on the H1 Gram matrix")
+    A = np.stack([-tset.X, tset.UW])
+    stack = np.empty((2, 2, g.nx, 2 * n))  # (A, metric) pairs: (-X, UW) x (L2, H1)
+    stack[:, 0, :, :n] = s * A
+    stack[:, 1, :, :n] = upper(A)
+    stack[..., n:] = [B / s, upper(S_inv_B)]  # the same for both A
+    R = np.linalg.qr(stack.reshape(4, g.nx, 2 * n), mode="r")
+    small = np.eye(2 * n) + R[..., :n] @ R[..., n:].swapaxes(-1, -2)
+    c0, normTinv_h1, normT_l2, normT_h1 = (
+        max(1.0, v) for v in np.linalg.svd(small, compute_uv=False)[:, 0].tolist()
+    )
     return OperatorNorms(c0, normT_l2, normTinv_h1, normT_h1)

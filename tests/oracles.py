@@ -23,6 +23,9 @@ Upsilon e_j, coded apart from ``rdstab.transform``, for ``phi_apply_recursive``.
 ``discrete_m`` sums M = dx W^T UW of the sampled closed form in
 ``np.longdouble``, and ``longdouble_pivots`` eliminates it in the same
 precision: the oracles of the scan's closed-form M and of its a_j.
+``operator_norms_per_pair`` is the per-pair path of the operator norms: one
+QR and one SVD call for each of the four (operator, metric) pairs, and scipy's
+checked banded Cholesky wrappers for the H1 factor.
 ``gain_quadrature_gap`` measures the feedback gain against the trapezoid of
 the kernel's x = L row, an independent quadrature of the same integral.
 """
@@ -31,6 +34,7 @@ import math
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from rdstab.constants import ADMISSIBILITY_FLOOR, DEFAULT_KERNEL_TOL, KERNEL_MAX_ORDER
 from rdstab.errors import (
@@ -47,7 +51,7 @@ from rdstab.grid import Grid, laplacian_matrix, make_grid, trapezoid_weights
 from rdstab.kernel import Kernel, kernel_table as rd_kernel_table
 from rdstab.simulator import DYNAMICS_MODES, SimulationConfig, _interior, initial_state
 from rdstab.spectral import ModalBasis, ProjectionMatrix
-from rdstab.transform import TransformSet, build_transform
+from rdstab.transform import OperatorNorms, TransformSet, build_transform
 
 
 def assemble_A(
@@ -434,3 +438,38 @@ def longdouble_pivots(M: np.ndarray) -> np.ndarray:
     for j in range(n - 1):
         S[j + 1:, j + 1:] -= np.outer(S[j + 1:, j] / (1 + S[j, j]), S[j, j + 1:])
     return np.diagonal(S).copy()
+
+
+def _rank_n_opnorm(A: np.ndarray, B: np.ndarray) -> float:
+    """Spectral norm of I + A B^T for nx x N factors, through the QR of [A, B]."""
+    n_modes = A.shape[1]
+    R = np.linalg.qr(np.hstack([A, B]), mode="r")
+    small = np.eye(2 * n_modes) + R[:, :n_modes] @ R[:, n_modes:].T
+    return max(1.0, float(np.linalg.svd(small, compute_uv=False)[0]))
+
+
+def operator_norms_per_pair(tset: TransformSet) -> OperatorNorms:
+    """``rdstab.operator_norms`` one (operator, metric) pair at a time."""
+    g = tset.grid
+    s = np.sqrt(trapezoid_weights(g))[:, None]
+    ab = np.empty((2, g.nx))
+    ab[0] = -1.0 / g.dx
+    ab[1] = 2.0 / g.dx
+    ab[1, [0, -1]] = 1.0 / g.dx
+    ab[1] += trapezoid_weights(g)
+    U = scipy.linalg.cholesky_banded(ab)
+
+    def upper(M):
+        out = U[1][:, None] * M
+        out[:-1] += U[0, 1:, None] * M[1:]
+        return out
+
+    B = g.dx * tset.basis.W
+    B_h1 = upper(scipy.linalg.cho_solve_banded((U, False), B))
+
+    def l2_h1(A):
+        return _rank_n_opnorm(s * A, B / s), _rank_n_opnorm(upper(A), B_h1)
+
+    c0, normTinv_h1 = l2_h1(-tset.X)
+    normT_l2, normT_h1 = l2_h1(tset.UW)
+    return OperatorNorms(c0, normT_l2, normTinv_h1, normT_h1)

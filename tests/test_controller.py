@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,59 @@ class TestBernoulliEnvelope:
             r.bernoulli_envelope(2.0, 1.0, 1.5, 0.1, 0.0)
         with pytest.raises(InvalidParameterError):
             r.bernoulli_envelope(2.0, 1.0, 0.5, -0.1, 0.0)
+
+
+# a valid call of each public formula; each case below spoils one argument
+_NORMS = r.OperatorNorms(c0=1.5, normT_l2=2.0, normTinv_h1=1.0, normT_h1=3.0)
+_FORMULAS = {
+    "gamma_rate": (r.gamma_rate, dict(nu=1.0, alpha=12.0, mu=6.0, n_modes=2)),
+    "rho_rate": (r.rho_rate, dict(nu=1.0, alpha=12.0, mu=6.0, n_modes=2)),
+    "min_modes_rapid": (r.min_modes_rapid, dict(nu=1.0, alpha=12.0, mu=6.0)),
+    "smallness_threshold": (r.smallness_threshold, dict(
+        nu=1.0, alpha=12.0, mu=6.0, n_modes=1, deriv_order=0, d=0.9, c0=1.0, c1=1.0, norm_tinv=1.0)),
+    "c1_constant": (r.c1_constant, dict(norms=_NORMS, c_star=1.0)),
+    "bernoulli_envelope": (r.bernoulli_envelope, dict(a=2.0, b=1.0, d=0.5, y0=0.7, t=0.0)),
+}
+_REAL_ARGS = [
+    ("gamma_rate", "mu"), ("rho_rate", "mu"), ("min_modes_rapid", "mu"),
+    ("smallness_threshold", "mu"), ("smallness_threshold", "c0"), ("smallness_threshold", "c1"),
+    ("smallness_threshold", "norm_tinv"), ("c1_constant", "c_star"),
+    ("bernoulli_envelope", "a"), ("bernoulli_envelope", "b"), ("bernoulli_envelope", "y0"),
+]
+_MODE_FUNCS = ["gamma_rate", "rho_rate", "smallness_threshold"]
+
+
+@pytest.mark.parametrize(
+    "name, arg, bad",
+    [(f, a, v) for f, a in _REAL_ARGS for v in (math.nan, math.inf, -math.inf)]
+    + [(f, a, v) for f, a in _REAL_ARGS for v in (np.float64(np.nan), True, "1", None)]
+    + [(f, "n_modes", v) for f in _MODE_FUNCS for v in (1.5, 2.0, True, "2", np.nan)],
+)
+def test_formulas_refuse_non_finite_non_real_and_fractional_arguments(name, arg, bad):
+    # these once returned nan or inf, a bare ValueError or OverflowError, or ran on 1.5 modes
+    fn, kwargs = _FORMULAS[name]
+    fn(**kwargs)
+    with pytest.raises(InvalidParameterError, match=f"^{arg} must be (finite|a real number|an integer), got "):
+        fn(**{**kwargs, arg: bad})
+
+
+@pytest.mark.parametrize(
+    "name, arg, bad, message",
+    [
+        ("gamma_rate", "n_modes", 0, "need at least one mode, got 0"),
+        ("rho_rate", "n_modes", -1, "need at least one mode, got -1"),
+        ("min_modes_rapid", "mu", -1.0, "negative feedback gain -1.0"),
+        ("smallness_threshold", "c0", 0.0, "operator-norm constants must be positive"),
+        ("smallness_threshold", "norm_tinv", -2.0, "operator-norm constants must be positive"),
+        ("c1_constant", "c_star", 0.0, "interpolation constant must be positive, got 0.0"),
+        ("bernoulli_envelope", "b", 0.0, "need positive coefficients, got a=2.0, b=0.0"),
+        ("bernoulli_envelope", "y0", -0.1, "initial value must be nonnegative, got -0.1"),
+    ],
+)
+def test_formulas_keep_their_range_messages(name, arg, bad, message):
+    fn, kwargs = _FORMULAS[name]
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        fn(**{**kwargs, arg: bad})
 
 
 class TestFeedback:

@@ -207,3 +207,34 @@ def test_underflowing_row_is_rescaled():
             assert out[0] == norm(sine, g)
             assert out[2] == 0.0  # a zero row stays zero
             assert np.isnan(out[3])  # a non-finite row is left as it is
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 80),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-170, 200),
+)
+def test_h1_norm_given_the_l2_norms_keeps_its_bits(nx, rows, seed, exponent):
+    # the march hands h1_norm the l2 norms of the block it has just formed
+    g = r.make_grid(1.0, nx)
+    stack = np.random.default_rng(seed).standard_normal((rows, nx)) * 10.0**exponent
+    for values in (stack, stack[0]):
+        assert np.array_equal(r.h1_norm(values, g, r.l2_norm(values, g)), r.h1_norm(values, g))
+
+
+def test_h1_norm_given_the_l2_norms_keeps_rescaled_and_non_finite_rows():
+    g = r.make_grid(1.0, 200)
+    sine = np.sin(np.pi * g.nodes)
+    stack = np.stack([sine, 1e200 * sine, 1e-170 * sine, np.zeros(g.nx),
+                      np.full(g.nx, np.nan), np.full(g.nx, np.inf), sine])
+    stack[6, 7] = -np.inf
+    l2 = r.l2_norm(stack, g)
+    given_l2 = r.h1_norm(stack, g, l2)
+    assert np.array_equal(given_l2, r.h1_norm(stack, g), equal_nan=True)
+    assert given_l2[1] == pytest.approx(1e200 * r.h1_norm(sine, g), rel=1e-14)
+    assert given_l2[2] == pytest.approx(1e-170 * r.h1_norm(sine, g), rel=1e-14)
+    assert np.isnan(given_l2[4]) and not np.isfinite(given_l2[5]) and not np.isfinite(given_l2[6])
+    for row, norm in zip(stack, l2):
+        assert np.array_equal(r.h1_norm(row, g, norm), r.h1_norm(row, g), equal_nan=True)

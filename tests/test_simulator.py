@@ -749,6 +749,17 @@ def test_march_without_history_matches_history(model, dynamics, forcing, nx, nt_
         assert np.array_equal(getattr(ring, name), getattr(kept, name)), name
 
 
+@pytest.mark.parametrize("nx, nt", [(60, 40), (2000, 70)])
+def test_march_norms_are_the_norms_of_its_history(nx, nt):
+    # each block's h1 norms reuse its l2 norms; both equal the grid's norms of the levels
+    c = cfg(model="nonlinear", dynamics="closed_loop", alpha=12.0, mu=7.0, n_modes=2, nx=nx,
+            nt=nt, tmax=0.2, u0={"sine_coeffs": [2.0, 0.5]})
+    traj = r.run_simulation(c)
+    g = r.make_grid(c.length, nx)
+    assert np.array_equal(traj.l2_norms, r.l2_norm(traj.states, g))
+    assert np.array_equal(traj.h1_norms, r.h1_norm(traj.states, g))
+
+
 @pytest.mark.parametrize("mu, amp", [(7.0, 2.0), (25.0, 2.0), (25.0, 1.0)])
 def test_newton_converges_at_large_cn_parameter(mu, amp):
     # nu dt / dx^2 ~ 5.6e5: a residual formed from C u' rounds at eps ||C|| |u'|,

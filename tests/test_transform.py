@@ -16,6 +16,7 @@ from oracles import (
     discrete_m,
     gain_quadrature_gap,
     longdouble_pivots,
+    operator_norms_per_pair,
     phi_apply_recursive,
     phi_recursion,
     upsilon_projected,
@@ -286,6 +287,42 @@ def test_operator_norms_identity_for_zero_kernel(grid200):
     assert norms.normT_l2 == pytest.approx(1.0, abs=1e-12)
     assert norms.normTinv_h1 == pytest.approx(1.0, abs=1e-9)
     assert norms.normT_h1 == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(-20.0, 60.0),
+    n_modes=st.integers(1, 4),
+    nx=st.integers(50, 800),
+    length=st.floats(0.5, 2.0),
+)
+def test_operator_norms_match_per_pair_oracle_bit_for_bit(mu, n_modes, nx, length):
+    # the stacked QR and SVD and the direct dpbtrf/dpbtrs run the per-pair LAPACK calls
+    try:
+        tset = r.build_transform(r.kernel_table(r.make_grid(length, nx), mu, 1.0), n_modes)
+    except InadmissiblePairError:
+        assume(False)
+    assert r.operator_norms(tset) == operator_norms_per_pair(tset)
+
+
+def test_operator_norms_take_one_qr_and_one_svd_call(monkeypatch, exp2_tset):
+    calls = {"qr": 0, "svd": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    norms = r.operator_norms(exp2_tset)
+    assert calls == {"qr": 1, "svd": 1}
+    assert norms == operator_norms_per_pair(exp2_tset)  # the oracle makes four of each
+    assert calls == {"qr": 5, "svd": 5}
 
 
 def test_operator_norm_duality(exp1_tset):
